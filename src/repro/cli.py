@@ -8,7 +8,7 @@ Commands
 ``partition``  partition a mesh into blocks, report cut/balance
 ``transport``  run the S_n transport solve in schedule order
 ``fuzz``       differential fuzzing of every registered scheduler
-``bench``      time the heap/bucket/vector scheduling engines, write JSON
+``bench``      time the scheduling engines (heap/bucket/vector), write JSON
 ``trace``      run a traced grid and export a Perfetto-loadable timeline
 ``campaign``   resumable declarative sweeps over a sqlite result store
 ``cache``      inspect/clear the content-addressed instance build cache
@@ -33,6 +33,7 @@ import numpy as np
 from repro.analysis import gantt_text, summarize_schedule
 from repro.comm import CommModel, estimate_wall_clock
 from repro.core import block_assignment
+from repro.core.list_scheduler import ENGINES
 from repro.experiments import paper
 from repro.heuristics import algorithm_names, get_algorithm
 from repro.mesh import MESH_GENERATORS, make_mesh, save_mesh
@@ -172,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="benchmark the heap/bucket/vector list-scheduling engines",
         description=(
-            "Time all three list-scheduling engines on the benchmark families "
+            "Time the heap and bucket engines (plus the schema's vector "
+            "column, an alias of bucket) on the benchmark families "
             "(large/standard mesh, chains, wide layers), cross-check that "
             "they produce identical schedules, and write a schema-"
             "versioned JSON report."
@@ -324,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", "--processors", type=int, default=16)
     p.add_argument("--block-size", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--engine", default="auto")
+    p.add_argument("--engine", default="auto", choices=ENGINES)
     p.add_argument("--count", type=int, default=1,
                    help="pipeline this many schedule requests "
                         "(seeds seed..seed+count-1)")

@@ -1,93 +1,121 @@
-"""Bucket-queue list-scheduling engine (the "fast" engine).
+"""The batched list-scheduling kernel (``engine="bucket"``).
 
-A drop-in second engine behind :func:`repro.core.list_scheduler.list_schedule`
-and :func:`~repro.core.list_scheduler.list_schedule_unassigned`.  Every
-priority family this repository uses (levels, delayed levels, b-levels,
-DFDS keys, descendant counts, the lexicographic combinations) is a small
-integer range, so the engine replaces the heap engine's ``(priority, tid)``
-tuple comparisons with integer bucket arithmetic.  Two internal paths share
-the public entry points:
+The second engine behind :func:`repro.core.list_scheduler.list_schedule`
+and :func:`~repro.core.list_scheduler.list_schedule_unassigned`.  Where
+the heap engine pops one ``(priority, tid)`` tuple at a time, this kernel
+runs the paper's greedy rule one BSP-style *superstep* at a time over the
+whole ready set, held as one sorted ``int64`` array of packed
+``(processor, key, tid)`` codes (``(key, tid)`` in unassigned mode):
 
-* **sorted-pool path** (wide regime) — the entire ready set lives in one
-  sorted ``int64`` array of packed ``(processor, key, tid)`` codes.  Each
-  step's pops are a vectorised group-boundary mask (the first code of every
-  processor run is that processor's minimum), promotion is a dense padded
-  successor-matrix gather plus ``np.subtract.at``, and re-insertion is one
-  ``np.searchsorted`` + ``np.insert``.  No per-task Python at all; on wide
-  wavefronts (hundreds of pops per step) this is 1.5–3x the heap engine.
-* **bucket-queue path** (narrow regime) — per-processor monotone bucket
-  queues: a dict from bucket index to either a single task id (the common
-  case) or an int-heap of ids, plus a per-processor min-pointer that only
-  moves forward.  Promotion walks successor lists cached as plain Python
-  lists on the :class:`~repro.core.dag.Dag`.
+1. **pop** — each processor's minimum is the first code of its run in the
+   sorted pool, so one group-boundary mask pops every processor's task at
+   once (unassigned mode pops the first ``m`` codes instead).
+2. **promote** — in-degrees of the popped tasks' successors drop in one
+   vectorised step.  :func:`padded_promotion` picks how, from the
+   instance alone: a dense padded successor matrix plus
+   ``np.subtract.at`` on most instances, or a CSR gather folded by
+   ``np.bincount``/``np.unique`` on very wide shallow ones (and on ragged
+   graphs whose padded matrix would blow up memory).
+3. **merge** — newly ready codes are sorted and merged into the remaining
+   pool with one ``np.searchsorted`` + ``np.insert``.
 
-Key handling is shared: integer priorities with a small range are used
-directly (offset by the minimum); anything else numeric is rank compressed
-through ``np.unique``, which preserves order and equality and therefore
-the schedule, exactly.
+**Endgame drain**: once ``pool.size == remaining`` every unexecuted task
+is ready, so no promotion can happen again and each queue just drains in
+``(key, tid)`` order.  The kernel then assigns all remaining start times
+in one shot — rank within each processor's run (assigned mode) or
+``t + i // m`` on machine ``i % m`` (unassigned mode).  This is exact,
+not an approximation.
 
-Both paths are *exactly equivalent* to the heap engine — same start times,
+Keys: every priority family this repository uses is numeric, so
+integer priorities with a small range are used directly (offset by the
+minimum) and anything else numeric is rank compressed through
+``np.unique``, which preserves order and equality and therefore the
+schedule.  An instance whose packed code would exceed
+:data:`_CODE_BITS` bits even after compression is scheduled by the heap
+engine instead.
+
+Output is *exactly equivalent* to the heap engine — same start times,
 same machine numbers, same tie-breaks, same errors — which
-``tests/test_engine_equivalence.py`` pins on every fuzz spec family, every
-registry golden, and the corpus.  Callers normally never import this
-module: they pass ``engine="bucket"`` (or keep the default ``"auto"``) to
-the public entry points.
+``tests/test_engine_equivalence.py`` pins under both promotion
+strategies, and ``tests/test_engine_mutations.py`` backs by killing the
+seeded faults below.  Callers reach this module through
+``engine="bucket"`` (or its alias ``"vector"``) or through ``"auto"``.
 """
 
 from __future__ import annotations
-
-from heapq import heappop, heappush
 
 import numpy as np
 
 from repro import obs
 from repro.core.dag import Dag, _gather_csr
 from repro.core.instance import SweepInstance
-from repro.core.schedule import Schedule
 from repro.util.errors import InvalidScheduleError
 
 __all__ = [
-    "bucket_list_schedule",
-    "bucket_list_schedule_unassigned",
+    "batched_schedule",
     "bucket_supports",
     "bucket_keys",
     "bucket_preferred",
+    "padded_promotion",
 ]
 
 #: Integer priorities whose value range exceeds ``_DENSE_SLACK * N + 1024``
-#: go through rank compression instead of a direct offset, so bucket
-#: indices can never blow up on sparse keys like ``level * 10**9``.
+#: go through rank compression instead of a direct offset, so packed keys
+#: can never blow up on sparse keys like ``level * 10**9``.
 _DENSE_SLACK = 4
 
-#: The sorted-pool path needs enough pops per step to amortise numpy call
-#: overhead (~2us per ufunc here); below this effective width the heap
-#: engine's C heapq is faster and ``engine="auto"`` keeps using it.
+#: ``engine="auto"`` needs enough pops per step to amortise numpy call
+#: overhead (~2us per ufunc here); below this effective width (mean
+#: wavefront capped at ``m``) the heap engine's C heapq is faster.
 #: Calibrated on the tetonly-mesh benchmark family: at effective width 64
-#: the pool path breaks even, at 128+ it is 1.5-3x faster.
+#: the kernel breaks even, at 128+ it is 1.5-3x faster.
 _POOL_MIN_WIDTH = 64
 
-#: Test-only fault-injection point for the mutation-kill suite
-#: (``tests/test_engine_mutations.py``).  One of ``None`` (production),
-#: ``"bucket_off_by_one"`` (promoted tasks land one bucket too high),
-#: ``"skip_promotion"`` (all but the first newly-ready task of a batch is
-#: dropped), or ``"stale_minptr"`` (the min-pointer is not lowered when a
-#: smaller key is pushed).  Any non-``None`` value forces the bucket-queue
-#: path, where these faults live.  Never set outside tests.
-_MUTATION = None
+#: At or above this mean *uncapped* wavefront (``n_tasks // num_levels``)
+#: the kernel promotes through CSR gathers instead of the padded matrix,
+#: and ``engine="auto"`` picks the kernel at any ``m``: the endgame drain
+#: batches most of such an instance, and building the padded matrix costs
+#: more than it saves.  Calibrated on the bench families: wide_layer
+#: (width 8000) is ~2x faster on CSR promotion, mesh_large (width ~1100)
+#: favours the padded matrix.
+_CSR_MIN_WIDTH = 4000
 
-#: Test-only override of the internal path choice: ``None`` (use the width
-#: heuristic), ``"pool"``, or ``"bucket"``.  Lets the equivalence suite
-#: exercise both paths on every instance regardless of its width.
-_FORCE_PATH = None
+#: Bit budget of one packed ``(processor, key, tid)`` code; it must stay
+#: a non-negative ``int64``.
+_CODE_BITS = 62
+
+#: Test-only fault-injection point for the mutation-kill suite
+#: (``tests/test_engine_mutations.py``).  One of ``None`` (production) or:
+#:
+#: * ``"promote_off_by_one"`` — promoted codes get key + 1;
+#: * ``"skip_promotion"`` — only the first newly ready code of a superstep
+#:   is merged, the rest are lost;
+#: * ``"unsorted_merge"`` — new codes are appended unsorted, breaking the
+#:   pool's sorted invariant;
+#: * ``"frontier_off_by_one"`` — the pop loses its last task whenever a
+#:   superstep pops more than one;
+#: * ``"stale_indegree"`` — duplicate same-superstep decrements of one
+#:   task fold to a single decrement;
+#: * ``"unstable_tiebreak"`` — the tid component of the packed code is
+#:   inverted, flipping every equal-priority tie-break.
+#:
+#: Arming any fault disables the endgame drain, so the faults always run
+#: through the superstep loop.  Never set outside tests.
+_MUTATION: str | None = None
+
+#: Test-only override of :func:`padded_promotion`: ``None`` (choose from
+#: the instance), ``"padded"`` or ``"csr"``.  Lets the equivalence and
+#: mutation suites run both promotion strategies on every instance.
+_FORCE_PROMOTION: str | None = None
 
 
 def bucket_supports(priority) -> bool:
-    """Can the bucket engine reproduce the heap engine on this priority?
+    """Can the batched kernel reproduce the heap engine on this priority?
 
     ``None`` (uniform) and any real-numeric array without NaN qualify —
-    integer keys run through dense buckets directly, floats through exact
-    rank compression.  Object arrays (tuple keys) and NaN-bearing floats
-    fall back to the heap engine, whose comparison semantics they need.
+    integer keys are packed directly, floats through exact rank
+    compression.  Object arrays (tuple keys) and NaN-bearing floats need
+    the heap engine's comparison semantics.
     """
     if priority is None:
         return True
@@ -100,12 +128,12 @@ def bucket_supports(priority) -> bool:
 
 
 def bucket_keys(priority, n_tasks: int) -> np.ndarray:
-    """Dense ``int64`` bucket indices equivalent to ``priority`` ordering.
+    """Dense non-negative ``int64`` keys equivalent to ``priority`` ordering.
 
     Preserves both relative order and equality of the original keys, so a
-    schedule built on the returned indices is bit-identical to one built
-    on the raw priorities.  Raises :class:`InvalidScheduleError` when the
-    priorities are not bucketable (see :func:`bucket_supports`).
+    schedule built on the returned keys is bit-identical to one built on
+    the raw priorities.  Raises :class:`InvalidScheduleError` when the
+    priorities are not supported (see :func:`bucket_supports`).
     """
     if priority is None:
         return np.zeros(n_tasks, dtype=np.int64)
@@ -128,130 +156,124 @@ def bucket_keys(priority, n_tasks: int) -> np.ndarray:
     return inverse.astype(np.int64)
 
 
-def _effective_width(inst: SweepInstance, m: int) -> int:
-    """Average pops per step, capped by the processor count."""
-    union = inst.union_dag()
+def _mean_width(union: Dag) -> int:
+    """Uncapped mean wavefront: tasks per level of the union DAG."""
     d = union.num_levels()
-    if d <= 0:
-        return 0
-    return min(m, inst.n_tasks // d)
+    return union.n // d if d > 0 else 0
 
 
 def bucket_preferred(inst: SweepInstance, m: int, priority) -> bool:
-    """Should ``engine="auto"`` pick the bucket engine here?
+    """Should ``engine="auto"`` pick the batched kernel here?
 
-    True when the priorities are bucketable *and* the instance is wide
-    enough (average wavefront of at least ``_POOL_MIN_WIDTH`` tasks per
-    step) for the sorted-pool path to beat C heapq.  In the narrow regime
-    every pure-Python scheme loses to the heap engine, so ``auto`` keeps
-    the heap there; an explicit ``engine="bucket"`` still runs this engine
-    regardless of width.
+    True when the priorities are supported *and* the instance is wide
+    enough for supersteps to beat C heapq: an effective width
+    ``min(m, n_tasks // num_levels)`` of at least :data:`_POOL_MIN_WIDTH`,
+    or an uncapped width of at least :data:`_CSR_MIN_WIDTH`.  An explicit
+    ``engine="bucket"`` runs the kernel regardless of width.
     """
-    return bucket_supports(priority) and _effective_width(inst, m) >= _POOL_MIN_WIDTH
+    if not bucket_supports(priority):
+        return False
+    width = _mean_width(inst.union_dag())
+    return min(m, width) >= _POOL_MIN_WIDTH or width >= _CSR_MIN_WIDTH
 
 
-def _use_pool(inst: SweepInstance, m: int) -> bool:
-    """Internal path choice: sorted pool (wide) or bucket queues (narrow)."""
-    if _MUTATION is not None:
-        return False  # the injected faults live in the bucket-queue path
-    if _FORCE_PATH is not None:
-        return _FORCE_PATH == "pool"
-    return _effective_width(inst, m) >= _POOL_MIN_WIDTH
+def padded_promotion(union: Dag) -> tuple[np.ndarray, np.ndarray] | None:
+    """The padded successor matrix the kernel promotes through, or ``None``.
+
+    ``None`` means CSR promotion: the instance's uncapped mean wavefront
+    reaches :data:`_CSR_MIN_WIDTH`, or :meth:`Dag.padded_successors`
+    declines a ragged graph.  This is the one place the choice is made;
+    :func:`repro.parallel.worker.warm_instance` calls it too, so workers
+    warm exactly the caches the kernel reads.
+    """
+    if _FORCE_PROMOTION == "csr":
+        return None
+    if _FORCE_PROMOTION is None and _mean_width(union) >= _CSR_MIN_WIDTH:
+        return None
+    return union.padded_successors()
 
 
 def _pool_codes(
     key: np.ndarray, n_tasks: int, m: int | None
 ) -> tuple[np.ndarray, int, int] | None:
-    """Packed ``(proc?, key, tid)`` code parameters for the sorted pool.
+    """Packed ``(proc?, key, tid)`` code parameters.
 
-    Returns ``(key, logn, kb)`` where ``code = (key << logn) | tid`` fits a
-    signed int64 together with ``m`` processor values above it (when ``m``
-    is given).  Wide keys are rank compressed first; if even the compressed
-    key cannot fit, returns ``None`` and the caller falls back to the
-    bucket-queue path.
+    Returns ``(key, logn, kb)`` where ``code = (key << logn) | tid`` fits
+    :data:`_CODE_BITS` bits together with ``m`` processor values above it
+    (when ``m`` is given).  Wide keys are rank compressed first; if even
+    the compressed key cannot fit, returns ``None``.
     """
     logn = max(1, (n_tasks - 1).bit_length()) if n_tasks > 1 else 1
     logm = max(1, (m - 1).bit_length()) if m is not None else 0
     kb = max(1, int(key.max()).bit_length()) if key.size else 1
-    if logn + kb + logm > 62:
+    if logn + kb + logm > _CODE_BITS:
         _, inverse = np.unique(key, return_inverse=True)
         key = inverse.astype(np.int64)
         kb = max(1, int(key.max()).bit_length()) if key.size else 1
-        if logn + kb + logm > 62:
+        if logn + kb + logm > _CODE_BITS:
             return None
     return key, logn, kb
 
 
-def _decrement_and_promote(
-    indeg: np.ndarray, off: np.ndarray, tgt: np.ndarray, executed: np.ndarray
+def _csr_decrement(
+    indeg: np.ndarray, off: np.ndarray, tgt: np.ndarray, done: np.ndarray
 ) -> np.ndarray:
-    """Batch-decrement indegrees of all successors; return newly-ready ids.
+    """CSR in-degree decrement; returns the newly ready task ids.
 
-    One CSR gather plus one ``np.unique`` replace the heap engine's
-    per-edge Python loop; duplicate (parallel) edges decrement once per
-    occurrence via the returned counts.
+    A dense ``np.bincount`` histogram when the gathered successor batch
+    rivals the vertex count (O(n) and branch-free beats sorting it), and
+    ``np.unique(..., return_counts=True)`` when it is sparse.  Both fold
+    duplicate edges and same-step sibling completions into one
+    subtraction per target.
     """
-    succ = _gather_csr(off, tgt, executed)
+    succ = _gather_csr(off, tgt, done)
     if not succ.size:
-        return np.empty(0, dtype=np.int64)
-    uniq, counts = np.unique(succ, return_counts=True)
-    indeg[uniq] -= counts
-    return uniq[indeg[uniq] == 0]
+        return succ
+    if succ.size >= indeg.size // 4:
+        counts = np.bincount(succ, minlength=indeg.size)
+        touched = np.flatnonzero(counts)
+        counts = counts[touched]
+    else:
+        touched, counts = np.unique(succ, return_counts=True)
+    indeg[touched] -= 1 if _MUTATION == "stale_indegree" else counts
+    return touched[indeg[touched] == 0]
 
 
-# ----------------------------------------------------------------------
-# sorted-pool path (wide regime)
-# ----------------------------------------------------------------------
-
-
-def _pool_promote(union: Dag, indeg: np.ndarray, done: np.ndarray) -> np.ndarray:
-    """Newly-ready ids after executing ``done`` (may contain duplicates)."""
-    padded = union.padded_successors()
-    if padded is not None:
-        P = padded[0]
-        succ = P[done].ravel()
-        np.subtract.at(indeg, succ, 1)
-        return succ[indeg[succ] == 0]
-    off, tgt = union.successor_csr()
-    return _decrement_and_promote(indeg, off, tgt, done)
-
-
-def _pool_indegree(union: Dag) -> np.ndarray:
-    """Working indegree array matching :func:`_pool_promote`'s layout."""
-    padded = union.padded_successors()
-    if padded is not None:
-        return padded[1].copy()
-    return union.indegree()
-
-
-def _pool_schedule(
-    inst: SweepInstance,
+def _supersteps(
+    union: Dag,
     m: int,
-    assignment: np.ndarray,
-    key: np.ndarray,
+    code_of: np.ndarray,
     logn: int,
-    kb: int,
-) -> np.ndarray:
-    n_tasks = inst.n_tasks
-    union = inst.union_dag()
-    indeg = _pool_indegree(union)
-    proc_of = np.tile(np.asarray(assignment, dtype=np.int64), inst.k)
-    proc_shift = logn + kb
-    gcode_of = (proc_of << proc_shift) | (key << logn) | np.arange(
-        n_tasks, dtype=np.int64
-    )
+    pshift: int | None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Run the kernel; ``pshift`` is the processor field's shift, or
+    ``None`` in unassigned mode.  Returns ``(start, machine)``; ``machine``
+    is ``None`` exactly in assigned mode."""
+    n_tasks = code_of.size
+    mut = _MUTATION
+    padded = padded_promotion(union)
+    if padded is None:
+        off, tgt = union.successor_csr()
+        indeg = union.indegree()
+    else:
+        succ_of = padded[0]
+        indeg = padded[1].copy()
     tid_mask = (1 << logn) - 1
 
-    ready0 = np.flatnonzero(indeg[:n_tasks] == 0)
-    pool = np.sort(gcode_of[ready0])
+    def decode(codes: np.ndarray) -> np.ndarray:
+        tids = codes & tid_mask
+        return n_tasks - 1 - tids if mut == "unstable_tiebreak" else tids
+
+    pool = np.sort(code_of[np.flatnonzero(indeg[:n_tasks] == 0)])
     start = np.full(n_tasks, -1, dtype=np.int64)
+    machine = None if pshift is not None else np.full(n_tasks, -1, dtype=np.int64)
+    # first[i] is True iff pool[i] is the first (= smallest) code of its
+    # processor's run; slot 0 is always a run start.
+    first = np.ones(n_tasks + 1, dtype=bool)
     remaining = n_tasks
     t = 0
+    supersteps = 0
     peak_ready = 0
-    # Reusable group-boundary mask: first[i] is True iff pool[i] is the
-    # first (= smallest) code of its processor's run in the sorted pool.
-    first = np.empty(n_tasks + 1, dtype=bool)
-    first[0] = True
     while remaining:
         r = pool.size
         if not r:
@@ -260,328 +282,101 @@ def _pool_schedule(
             )
         if r > peak_ready:
             peak_ready = r
-        pp = pool >> proc_shift
+        supersteps += 1
         f = first[:r]
-        np.not_equal(pp[1:], pp[:-1], out=f[1:])
-        popped = pool[f]
-        done = popped & tid_mask
+        if pshift is not None:
+            pp = pool >> pshift
+            np.not_equal(pp[1:], pp[:-1], out=f[1:])
+        if r == remaining and mut is None:
+            # Endgame drain: no promotion is left, so every queue drains
+            # in (key, tid) order — batch all remaining starts at once.
+            idx = np.arange(r, dtype=np.int64)
+            done = decode(pool)
+            if machine is None:
+                offset = idx - np.maximum.accumulate(np.where(f, idx, 0))
+            else:
+                offset = idx // m
+                machine[done] = idx % m
+            start[done] = t + offset
+            t += int(offset.max()) + 1
+            break
+        if machine is None:
+            if mut == "frontier_off_by_one":
+                hits = np.flatnonzero(f)
+                if hits.size > 1:
+                    f[hits[-1]] = False
+            popped, pool = pool[f], pool[~f]
+        else:
+            n_exec = min(m, r)
+            if mut == "frontier_off_by_one" and n_exec > 1:
+                n_exec -= 1
+            popped, pool = pool[:n_exec], pool[n_exec:]
+        done = decode(popped)
         start[done] = t
+        if machine is not None:
+            machine[done] = np.arange(done.size, dtype=np.int64)
         remaining -= done.size
-        rest = pool[~f]
-        newly = _pool_promote(union, indeg, done)
-        if newly.size:
-            # Duplicate tids (several predecessors finished this step) map
-            # to identical codes; np.unique both dedups and sorts.
-            nc = np.unique(gcode_of[newly])
-            pool = np.insert(rest, np.searchsorted(rest, nc), nc)
+        if padded is None:
+            newly = _csr_decrement(indeg, off, tgt, done)
         else:
-            pool = rest
-        t += 1
-    obs.inc("scheduler.pool.steps", t)
-    obs.gauge_max("scheduler.pool.peak_ready", peak_ready)
-    return start
-
-
-def _pool_unassigned(
-    inst: SweepInstance, m: int, key: np.ndarray, logn: int, kb: int
-) -> tuple[np.ndarray, np.ndarray]:
-    n_tasks = inst.n_tasks
-    union = inst.union_dag()
-    indeg = _pool_indegree(union)
-    code_of = (key << logn) | np.arange(n_tasks, dtype=np.int64)
-    tid_mask = (1 << logn) - 1
-
-    ready0 = np.flatnonzero(indeg[:n_tasks] == 0)
-    pool = np.sort(code_of[ready0])
-    start = np.full(n_tasks, -1, dtype=np.int64)
-    machine = np.full(n_tasks, -1, dtype=np.int64)
-    remaining = n_tasks
-    t = 0
-    peak_ready = 0
-    while remaining:
-        if not pool.size:
-            raise InvalidScheduleError(
-                "no ready task but tasks remain — instance has a cycle"
-            )
-        if pool.size > peak_ready:
-            peak_ready = pool.size
-        n_exec = min(m, pool.size)
-        popped = pool[:n_exec]
-        done = popped & tid_mask
-        start[done] = t
-        machine[done] = np.arange(n_exec, dtype=np.int64)
-        remaining -= n_exec
-        rest = pool[n_exec:]
-        newly = _pool_promote(union, indeg, done)
+            succ = succ_of[done].ravel()
+            if mut == "stale_indegree":
+                indeg[succ] -= 1
+            else:
+                np.subtract.at(indeg, succ, 1)
+            newly = succ[indeg[succ] == 0]
         if newly.size:
+            # Tasks freed by several predecessors at once repeat in the
+            # padded gather; np.unique both dedups and sorts their codes.
             nc = np.unique(code_of[newly])
-            pool = np.insert(rest, np.searchsorted(rest, nc), nc)
-        else:
-            pool = rest
+            if mut == "promote_off_by_one":
+                nc += 1 << logn
+            elif mut == "skip_promotion":
+                nc = nc[:1]
+            at = np.searchsorted(pool, nc)
+            if mut == "unsorted_merge":
+                at[:] = pool.size
+            pool = np.insert(pool, at, nc)
         t += 1
     obs.inc("scheduler.pool.steps", t)
+    obs.inc("scheduler.pool.supersteps", supersteps)
     obs.gauge_max("scheduler.pool.peak_ready", peak_ready)
     return start, machine
 
 
-# ----------------------------------------------------------------------
-# bucket-queue path (narrow regime; hosts the mutation hooks)
-# ----------------------------------------------------------------------
-
-
-def _bucket_schedule(
-    inst: SweepInstance, m: int, assignment: np.ndarray, key: np.ndarray
-) -> np.ndarray:
-    n_tasks = inst.n_tasks
-    union = inst.union_dag()
-    off_l, tgt_l = union.successor_lists()
-    indeg = union.indegree_list()
-    proc_l = np.tile(np.asarray(assignment, dtype=np.int64), inst.k).tolist()
-    key_l = key.tolist()
-    n_buckets = (int(key.max()) + 1) if key.size else 1
-    mut = _MUTATION
-
-    # buckets[p] maps bucket index -> a single ready task id (the common
-    # case) or an int-heap of ids; the dict stays sparse so huge
-    # (m x range) tables are never allocated.
-    buckets: list[dict[int, int | list[int]]] = [{} for _ in range(m)]
-    minptr = [n_buckets] * m
-    nonempty: set[int] = set()
-
-    def push_batch(tids: list[int]) -> None:
-        if mut == "skip_promotion" and len(tids) > 1:
-            tids = tids[:1]
-        for tid in tids:
-            p = proc_l[tid]
-            b = key_l[tid]
-            if mut == "bucket_off_by_one":
-                b += 1
-            bp = buckets[p]
-            cur = bp.get(b)
-            if cur is None:
-                bp[b] = tid
-            elif type(cur) is int:
-                bp[b] = [cur, tid] if cur < tid else [tid, cur]
-            else:
-                heappush(cur, tid)
-            if b < minptr[p] and mut != "stale_minptr":
-                minptr[p] = b
-            nonempty.add(p)
-
-    # The initial frontier is not a promotion: the injected faults model
-    # promotion-path bugs, so they must not fire here.
-    saved_mut, mut = mut, None
-    push_batch([tid for tid in range(n_tasks) if indeg[tid] == 0])
-    mut = saved_mut
-
-    start = np.full(n_tasks, -1, dtype=np.int64)
-    remaining = n_tasks
-    t = 0
-    rotations = 0
-    while remaining:
-        if not nonempty:
-            raise InvalidScheduleError(
-                "no ready task but tasks remain — instance has a cycle"
-            )
-        step: list[int] = []
-        ap = step.append
-        for p in list(nonempty):
-            bp = buckets[p]
-            mp = minptr[p]
-            cur = bp.get(mp)
-            while cur is None:
-                mp += 1
-                rotations += 1
-                if mp > n_buckets:  # n_buckets absorbs the off-by-one fault
-                    raise InvalidScheduleError(
-                        "bucket queue bookkeeping error: processor marked "
-                        "ready but no bucket holds a task"
-                    )
-                cur = bp.get(mp)
-            if type(cur) is int:
-                tid = cur
-                del bp[mp]
-            else:
-                tid = heappop(cur)
-                if not cur:
-                    del bp[mp]
-            minptr[p] = mp
-            ap(tid)
-            if not bp:
-                nonempty.discard(p)
-        remaining -= len(step)
-        newly: list[int] = []
-        nap = newly.append
-        for tid in step:
-            for s in tgt_l[off_l[tid] : off_l[tid + 1]]:
-                d = indeg[s] - 1
-                indeg[s] = d
-                if not d:
-                    nap(s)
-        if newly:
-            push_batch(newly)
-        start[np.array(step, dtype=np.int64)] = t
-        t += 1
-    obs.inc("scheduler.bucket.steps", t)
-    obs.inc("scheduler.bucket.rotations", rotations)
-    return start
-
-
-def _bucket_unassigned(
-    inst: SweepInstance, m: int, key: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    n_tasks = inst.n_tasks
-    union = inst.union_dag()
-    off_l, tgt_l = union.successor_lists()
-    indeg = union.indegree_list()
-    key_l = key.tolist()
-    n_buckets = (int(key.max()) + 1) if key.size else 1
-
-    buckets: dict[int, int | list[int]] = {}
-    minptr = n_buckets
-    count = 0
-
-    def push_batch(tids: list[int]) -> None:
-        nonlocal minptr, count
-        for tid in tids:
-            b = key_l[tid]
-            cur = buckets.get(b)
-            if cur is None:
-                buckets[b] = tid
-            elif type(cur) is int:
-                buckets[b] = [cur, tid] if cur < tid else [tid, cur]
-            else:
-                heappush(cur, tid)
-            if b < minptr:
-                minptr = b
-        count += len(tids)
-
-    push_batch([tid for tid in range(n_tasks) if indeg[tid] == 0])
-
-    start = np.full(n_tasks, -1, dtype=np.int64)
-    machine = np.full(n_tasks, -1, dtype=np.int64)
-    remaining = n_tasks
-    t = 0
-    rotations = 0
-    while remaining:
-        if not count:
-            raise InvalidScheduleError(
-                "no ready task but tasks remain — instance has a cycle"
-            )
-        step: list[int] = []
-        ap = step.append
-        n_exec = 0
-        while count and n_exec < m:
-            cur = buckets.get(minptr)
-            while cur is None:
-                minptr += 1
-                rotations += 1
-                cur = buckets.get(minptr)
-            if type(cur) is int:
-                tid = cur
-                del buckets[minptr]
-            else:
-                tid = heappop(cur)
-                if not cur:
-                    del buckets[minptr]
-            count -= 1
-            machine[tid] = n_exec
-            ap(tid)
-            n_exec += 1
-        remaining -= n_exec
-        newly: list[int] = []
-        nap = newly.append
-        for tid in step:
-            for s in tgt_l[off_l[tid] : off_l[tid + 1]]:
-                d = indeg[s] - 1
-                indeg[s] = d
-                if not d:
-                    nap(s)
-        if newly:
-            push_batch(newly)
-        start[np.array(step, dtype=np.int64)] = t
-        t += 1
-    obs.inc("scheduler.bucket.steps", t)
-    obs.inc("scheduler.bucket.rotations", rotations)
-    return start, machine
-
-
-# ----------------------------------------------------------------------
-# public entry points
-# ----------------------------------------------------------------------
-
-
-def bucket_list_schedule(
+def batched_schedule(
     inst: SweepInstance,
     m: int,
-    assignment: np.ndarray,
-    priority: np.ndarray | None = None,
-    meta: dict | None = None,
-) -> Schedule:
-    """Bucket-engine twin of :func:`repro.core.list_scheduler.list_schedule`.
+    priority: np.ndarray | None,
+    assignment: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """Schedule ``inst`` on the batched kernel.
 
-    Arguments are identical; output is bit-identical.  Callers should go
-    through ``list_schedule(..., engine="bucket")``, which validates the
-    shapes once and dispatches here.
+    ``assignment`` (cell → processor) selects assigned mode; ``None``
+    runs the unassigned (Graham) mode.  Returns ``(start, machine)`` —
+    ``machine`` is ``None`` in assigned mode — or ``None`` when the
+    packed codes cannot fit :data:`_CODE_BITS` bits, in which case the
+    caller must run the heap engine.  Callers go through
+    ``list_schedule(..., engine="bucket")`` /
+    ``list_schedule_unassigned``, which validate the arguments first.
     """
     n_tasks = inst.n_tasks
     key = bucket_keys(priority, n_tasks)
-    start = None
-    if _use_pool(inst, m):
-        packed = _pool_codes(key, n_tasks, m)
-        if packed is not None:
-            with obs.span(
-                "schedule.pool",
-                cat="scheduler",
-                args_fn=lambda: {"n_tasks": n_tasks, "m": m},
-            ):
-                start = _pool_schedule(inst, m, assignment, *packed)
-    if start is None:
-        with obs.span(
-            "schedule.bucket",
-            cat="scheduler",
-            args_fn=lambda: {"n_tasks": n_tasks, "m": m},
-        ):
-            start = _bucket_schedule(inst, m, assignment, key)
-    return Schedule(
-        instance=inst,
-        m=m,
-        start=start,
-        assignment=np.asarray(assignment, dtype=np.int64),
-        meta=dict(meta or {}),
-    )
-
-
-def bucket_list_schedule_unassigned(
-    inst: SweepInstance,
-    m: int,
-    priority: np.ndarray | None = None,
-):
-    """Bucket-engine twin of ``list_schedule_unassigned`` (Graham relaxation).
-
-    Pops the ``m`` smallest ``(key, task id)`` pairs per step in the same
-    order the heap engine would, so machine numbers match bit-for-bit too.
-    """
-    from repro.core.list_scheduler import UnassignedSchedule
-
-    n_tasks = inst.n_tasks
-    key = bucket_keys(priority, n_tasks)
-    result = None
-    if _use_pool(inst, m):
-        packed = _pool_codes(key, n_tasks, None)
-        if packed is not None:
-            with obs.span(
-                "schedule.pool",
-                cat="scheduler",
-                args_fn=lambda: {"n_tasks": n_tasks, "m": m},
-            ):
-                result = _pool_unassigned(inst, m, *packed)
-    if result is None:
-        with obs.span(
-            "schedule.bucket",
-            cat="scheduler",
-            args_fn=lambda: {"n_tasks": n_tasks, "m": m},
-        ):
-            result = _bucket_unassigned(inst, m, key)
-    start, machine = result
-    return UnassignedSchedule(m=m, start=start, machine=machine)
+    packed = _pool_codes(key, n_tasks, None if assignment is None else m)
+    if packed is None:
+        return None
+    key, logn, kb = packed
+    tid = np.arange(n_tasks, dtype=np.int64)
+    if _MUTATION == "unstable_tiebreak":
+        tid = n_tasks - 1 - tid
+    code_of = (key << logn) | tid
+    pshift = None
+    if assignment is not None:
+        pshift = logn + kb
+        code_of |= np.tile(np.asarray(assignment, dtype=np.int64), inst.k) << pshift
+    with obs.span(
+        "schedule.pool",
+        cat="scheduler",
+        args_fn=lambda: {"n_tasks": n_tasks, "m": m},
+    ):
+        return _supersteps(inst.union_dag(), m, code_of, logn, pshift)

@@ -145,7 +145,7 @@ class SweepInstance:
         ``topological_order`` caches on every DAG plus the flat
         :meth:`task_levels` array.  Idempotent; returns ``task_levels``.
         The batched construction path
-        (:func:`repro.sweeps.dag_builder.build_instance_batched`) calls
+        (:func:`repro.sweeps.dag_builder.build_instance`) calls
         this at build time; call it directly on hand-built instances
         (e.g. the synthetic families) to pre-pay the level structure.
         """

@@ -17,26 +17,23 @@ Two interchangeable engines implement both modes:
 
 * ``engine="heap"`` — the reference implementation below: one binary heap
   per processor, ``O(N log N + m * makespan)`` for ``N = n*k`` tasks.
-* ``engine="bucket"`` — :mod:`repro.core.fast_scheduler`: integer bucket
-  keys with a fully-vectorised sorted-pool core on wide instances and
-  per-processor monotone bucket queues on narrow ones.  Bit-identical
-  output (pinned by ``tests/test_engine_equivalence.py``), 1.5–3x faster
-  than the heap on wide wavefronts.
-* ``engine="vector"`` — :mod:`repro.core.vector_scheduler`: the
-  level-synchronous batch kernel.  Whole ready frontiers are processed as
-  sorted packed-code arrays per superstep, with vectorised in-degree
-  decrements and an exact endgame drain that batches the final
-  promotion-free phase in one shot.  Bit-identical output, fastest on
-  very wide shallow instances.
-* ``engine="auto"`` (default) — a batched engine when the priorities are
-  numeric and NaN-free *and* the instance is wide enough for batching to
-  win: vector above an uncapped mean wavefront of
-  :data:`repro.core.vector_scheduler._VECTOR_MIN_WIDTH` tasks per level,
-  bucket above an effective width of
-  :data:`repro.core.fast_scheduler._POOL_MIN_WIDTH` tasks per step, heap
-  otherwise.  Narrow instances stay on the heap because C ``heapq`` beats
-  any pure-Python batching scheme there; object/tuple keys stay on the
-  heap because they need real comparisons.
+* ``engine="bucket"`` — :mod:`repro.core.fast_scheduler`: the batched
+  kernel.  The whole ready set is one sorted array of packed
+  ``(processor, key, tid)`` codes, advanced a superstep at a time with
+  vectorised pops, in-degree decrements and merges, plus an exact
+  endgame drain.  Bit-identical output (pinned by
+  ``tests/test_engine_equivalence.py``), 1.5–3x faster than the heap on
+  wide wavefronts.  ``engine="vector"`` is accepted as an alias.
+* ``engine="auto"`` (default) — the batched kernel when the priorities
+  are numeric and NaN-free *and* the instance is wide enough for
+  batching to win (:func:`repro.core.fast_scheduler.bucket_preferred`:
+  an effective width of
+  :data:`~repro.core.fast_scheduler._POOL_MIN_WIDTH` tasks per step, or
+  an uncapped mean wavefront of
+  :data:`~repro.core.fast_scheduler._CSR_MIN_WIDTH` tasks per level),
+  the heap otherwise.  Narrow instances stay on the heap because C
+  ``heapq`` beats any numpy batching there; object/tuple keys stay on
+  the heap because they need real comparisons.
 
 Priorities are *minimised*; callers wanting "higher is better" negate
 their keys.  Ties break deterministically by task id, so results are
@@ -63,24 +60,23 @@ __all__ = [
     "resolve_engine",
 ]
 
-#: Valid values of the ``engine`` parameter.
+#: Valid values of the ``engine`` parameter.  ``"vector"`` is an alias of
+#: ``"bucket"``, kept so recorded requests and campaign specs still resolve.
 ENGINES = ("heap", "bucket", "vector", "auto")
 
 
 def resolve_engine(engine: str, priority, inst=None, m=None) -> str:
-    """Map an ``engine`` request to the engine that will actually run.
+    """Map an ``engine`` request to the engine that will run: ``"heap"``
+    or ``"bucket"``.
 
-    ``"auto"`` picks a batched engine when it can reproduce the heap
+    ``"auto"`` picks the batched kernel when it can reproduce the heap
     engine exactly (numeric, NaN-free priorities — see
     :func:`repro.core.fast_scheduler.bucket_supports`) *and*, when
     ``inst``/``m`` are given, the instance is wide enough for batching to
-    be faster: the vector engine in the very wide shallow regime
-    (:func:`repro.core.vector_scheduler.vector_preferred`), the bucket
-    engine in the merely wide one
-    (:func:`repro.core.fast_scheduler.bucket_preferred`), the heap
-    otherwise.  An explicit ``"bucket"`` or ``"vector"`` runs that engine
-    on any supported priorities regardless of width, and raises on
-    unsupported ones.
+    be faster (:func:`repro.core.fast_scheduler.bucket_preferred`), the
+    heap otherwise.  An explicit ``"bucket"`` (or ``"vector"``) runs the
+    batched kernel on any supported priorities regardless of width, and
+    raises on unsupported ones.
     """
     if engine not in ENGINES:
         raise InvalidScheduleError(
@@ -91,19 +87,13 @@ def resolve_engine(engine: str, priority, inst=None, m=None) -> str:
     from repro.core.fast_scheduler import bucket_preferred, bucket_supports
 
     if not bucket_supports(priority):
-        if engine in ("bucket", "vector"):
+        if engine != "auto":
             raise InvalidScheduleError(
                 f"{engine} engine requires numeric NaN-free priorities; "
                 "use engine='heap' (or 'auto') for non-scalar keys"
             )
         return "heap"
-    if engine in ("bucket", "vector"):
-        return engine
-    if inst is not None and m is not None:
-        from repro.core.vector_scheduler import vector_preferred
-
-        if vector_preferred(inst, m, priority):
-            return "vector"
+    if engine == "auto" and inst is not None and m is not None:
         return "bucket" if bucket_preferred(inst, m, priority) else "heap"
     return "bucket"
 
@@ -132,8 +122,8 @@ def list_schedule(
     meta:
         Provenance stored on the returned :class:`Schedule`.
     engine:
-        ``"heap"``, ``"bucket"``, or ``"auto"`` (see module docs).  Both
-        engines produce bit-identical schedules.
+        One of :data:`ENGINES` (see module docs).  Both engines produce
+        bit-identical schedules.
 
     Notes
     -----
@@ -156,15 +146,19 @@ def list_schedule(
             raise InvalidScheduleError(
                 f"priority has shape {priority.shape}, expected ({n_tasks},)"
             )
-    resolved = resolve_engine(engine, priority, inst, m)
-    if resolved == "bucket":
-        from repro.core.fast_scheduler import bucket_list_schedule
+    if resolve_engine(engine, priority, inst, m) == "bucket":
+        from repro.core.fast_scheduler import batched_schedule
 
-        return bucket_list_schedule(inst, m, assignment, priority, meta=meta)
-    if resolved == "vector":
-        from repro.core.vector_scheduler import vector_list_schedule
-
-        return vector_list_schedule(inst, m, assignment, priority, meta=meta)
+        # None when the packed codes overflow: fall through to the heap.
+        batched = batched_schedule(inst, m, priority, assignment)
+        if batched is not None:
+            return Schedule(
+                instance=inst,
+                m=m,
+                start=batched[0],
+                assignment=assignment,
+                meta=dict(meta or {}),
+            )
     with obs.span(
         "schedule.heap",
         cat="scheduler",
@@ -223,7 +217,7 @@ def list_schedule(
         instance=inst,
         m=m,
         start=start,
-        assignment=np.asarray(assignment, dtype=np.int64),
+        assignment=assignment,
         meta=dict(meta or {}),
     )
 
@@ -260,7 +254,7 @@ def list_schedule_unassigned(
     At every step the ``m`` machines grab the ``m`` smallest-priority ready
     tasks.  Every layer of the resulting step structure has at most ``m``
     tasks — exactly the width-reduction Algorithm 3's preprocessing needs.
-    ``engine`` selects the heap or bucket implementation (bit-identical).
+    ``engine`` selects the heap or batched implementation (bit-identical).
     """
     if m <= 0:
         raise InvalidScheduleError(f"processor count must be positive, got {m}")
@@ -271,15 +265,14 @@ def list_schedule_unassigned(
             raise InvalidScheduleError(
                 f"priority has shape {priority.shape}, expected ({n_tasks},)"
             )
-    resolved = resolve_engine(engine, priority, inst, m)
-    if resolved == "bucket":
-        from repro.core.fast_scheduler import bucket_list_schedule_unassigned
+    if resolve_engine(engine, priority, inst, m) == "bucket":
+        from repro.core.fast_scheduler import batched_schedule
 
-        return bucket_list_schedule_unassigned(inst, m, priority)
-    if resolved == "vector":
-        from repro.core.vector_scheduler import vector_list_schedule_unassigned
-
-        return vector_list_schedule_unassigned(inst, m, priority)
+        batched = batched_schedule(inst, m, priority)
+        if batched is not None:
+            start, machine = batched
+            assert machine is not None
+            return UnassignedSchedule(m=m, start=start, machine=machine)
     with obs.span(
         "schedule.heap_unassigned",
         cat="scheduler",

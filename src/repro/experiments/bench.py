@@ -21,7 +21,7 @@ of :data:`BASELINE_SERIAL_ROWS_PER_SEC` rows/second.
 Schema v6 makes *construction* a first-class timed phase: every case's
 ``phases`` dict splits instance acquisition into ``mesh_s`` (mesh
 generation, memoised), ``build_s`` (batched DAG construction via
-:func:`repro.sweeps.dag_builder.build_instance_batched`, which
+:func:`repro.sweeps.dag_builder.build_instance`, which
 pre-materialises per-direction levels), and ``cache_s`` (time spent in
 the content-addressed build cache, 0 unless ``REPRO_CACHE_DIR`` is
 set), alongside the v5 ``setup_s``/``warm_s``.  Because the batched
@@ -56,7 +56,7 @@ Engine families
 ---------------
 * ``mesh_large`` — the paper's S4 setting (tetrahedral mesh, k=24) at the
   top of its processor sweep (m=512).  Wide wavefronts; the bucket
-  engine's sorted-pool path dominates here.  **This is the family the
+  engine's batched kernel dominates here.  **This is the family the
   ≥1.5x acceptance gate applies to.**
 * ``mesh_standard`` — same mesh at k=8, m=32: the narrow regime where
   ``engine="auto"`` keeps the heap.  Benchmarked so the crossover stays
@@ -64,7 +64,9 @@ Engine families
 * ``chain`` — identical chains (depth = n, width = k): worst case for
   any batched engine, pure pipeline.
 * ``wide_layer`` — wide shallow DAGs: best case for frontier batching;
-  ``engine="auto"`` routes this family to the vector engine.
+  ``engine="auto"`` routes this family to the batched kernel, which
+  promotes through the CSR here.  ``vector`` is an alias of ``bucket``,
+  timed as its own column so the schema keeps its three engines.
 
 Grid family
 -----------
@@ -283,7 +285,7 @@ def _mesh_instance_timed(cells: int, k: int) -> tuple[object, dict]:
     """
     from repro import cache as build_cache
     from repro.experiments.runner import _mesh_cache
-    from repro.sweeps.dag_builder import DEFAULT_TOL, build_instance_batched
+    from repro.sweeps.dag_builder import DEFAULT_TOL, build_instance
     from repro.sweeps.directions import directions_for_mesh
 
     cache_s = 0.0
@@ -306,7 +308,7 @@ def _mesh_instance_timed(cells: int, k: int) -> tuple[object, dict]:
         mesh = _mesh_cache("tetonly", cells, 0)
     dirs = directions_for_mesh(mesh.dim, k)
     with Timer() as t_build:
-        inst = build_instance_batched(mesh, dirs)
+        inst = build_instance(mesh, dirs)
     if key is not None:
         with Timer() as t_store:
             build_cache.store_instance(key, inst)
@@ -422,7 +424,7 @@ def construction_bench(smoke: bool = False, cells: int | None = None) -> dict:
 
     from repro import cache as build_cache
     from repro.mesh.generators import make_mesh
-    from repro.sweeps.dag_builder import DEFAULT_TOL, build_instance_batched
+    from repro.sweeps.dag_builder import DEFAULT_TOL, build_instance
     from repro.sweeps.directions import directions_for_mesh
 
     if cells is None:
@@ -439,7 +441,7 @@ def construction_bench(smoke: bool = False, cells: int | None = None) -> dict:
             before_hits = build_cache.COUNTERS["hit"]
             with Timer() as t_cold:
                 mesh = make_mesh("tetonly", target_cells=cells, seed=0)
-                inst = build_instance_batched(mesh, dirs)
+                inst = build_instance(mesh, dirs)
                 build_cache.store_instance(key, inst)
             with Timer() as t_warm:
                 warm = build_cache.load_instance(key)

@@ -9,8 +9,8 @@ cross-checks the results three ways:
    consistency, ...);
 2. **determinism** — an identical (instance, seed) pair must produce a
    bit-identical schedule on a second run;
-3. **engine equivalence** — the heap, bucket (both internal paths), and
-   vector list-scheduling engines must produce bit-identical
+3. **engine equivalence** — the heap engine and the batched kernel
+   (under both promotion strategies) must produce bit-identical
    schedules on the case, assigned and unassigned, with and without
    priorities;
 4. **cross-engine anomalies** — the minimum makespan over all engines is
@@ -162,12 +162,11 @@ def _check_determinism(
 def _check_engine_equivalence(
     inst: SweepInstance, m: int, seed: int
 ) -> list[Violation]:
-    """Heap vs bucket (both internal paths) vs vector, bit-for-bit.
+    """Heap vs the batched kernel (both promotion strategies), bit-for-bit.
 
     Runs :func:`list_schedule` and :func:`list_schedule_unassigned` on the
     case with uniform and delayed-level priorities, forcing the bucket
-    engine through both its sorted-pool and bucket-queue paths and the
-    vector engine through its superstep kernel, and reports any
+    engine through both padded-matrix and CSR promotion, and reports any
     deviation from the heap reference.
     """
     from repro.core import fast_scheduler as fs
@@ -193,19 +192,16 @@ def _check_engine_equivalence(
                 )
             )
             continue
-        for label, engine, path in (
-            ("bucket[bucket]", "bucket", "bucket"),
-            ("bucket[pool]", "bucket", "pool"),
-            ("vector", "vector", None),
-        ):
-            saved = fs._FORCE_PATH
-            fs._FORCE_PATH = path
+        for promotion in ("padded", "csr"):
+            label = f"bucket[{promotion}]"
+            saved = fs._FORCE_PROMOTION
+            fs._FORCE_PROMOTION = promotion
             try:
                 got = list_schedule(
-                    inst, m, assignment, priority=prio, engine=engine
+                    inst, m, assignment, priority=prio, engine="bucket"
                 )
                 ugot = list_schedule_unassigned(
-                    inst, m, priority=prio, engine=engine
+                    inst, m, priority=prio, engine="bucket"
                 )
             except Exception as exc:  # noqa: BLE001
                 out.append(
@@ -217,7 +213,7 @@ def _check_engine_equivalence(
                 )
                 continue
             finally:
-                fs._FORCE_PATH = saved
+                fs._FORCE_PROMOTION = saved
             if not np.array_equal(got.start, ref.start):
                 out.append(
                     Violation(

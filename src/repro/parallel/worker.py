@@ -31,25 +31,26 @@ def warm_instance(
 ) -> None:
     """Materialise the memo caches the given workload will need.
 
-    Always warmed (every list-scheduling engine touches them): the union
+    Always warmed (both list-scheduling engines touch them): the union
     DAG, its successor CSR, indegree/outdegree, and level structure, plus
     the per-direction levels behind ``task_levels`` (the priority basis
-    of the random-delay family).  Warmed per engine: the dense padded
-    successor matrix only when the bucket engine's sorted pool can run
-    (``engine`` in ``("bucket", "auto")``) — the heap and vector engines
-    never touch it, and on wide shallow instances its build dwarfs the
-    structural warm.  Warmed on demand: per-direction descendant counts
-    (``descendant*``), b-levels and successor CSR (``dfds*`` /
-    ``blevel*``).  T-levels are supported by the cache wire format but
-    warmed only here if an algorithm family starts using them — nothing
-    in the registry does today.
+    of the random-delay family).  Warmed per engine: unless ``engine`` is
+    ``"heap"``, whatever
+    :func:`repro.core.fast_scheduler.padded_promotion` picks for the
+    batched kernel — the dense padded successor matrix on most instances,
+    nothing extra on the very wide shallow ones that promote through the
+    CSR (where the matrix build would dwarf the structural warm).  Warmed
+    on demand: per-direction descendant counts (``descendant*``),
+    b-levels and successor CSR (``dfds*`` / ``blevel*``).  T-levels are
+    supported by the cache wire format but warmed only here if an
+    algorithm family starts using them — nothing in the registry does
+    today.
 
     Everything warmed here ships to attached workers through the
-    shared-memory cache wire format, so a worker running the same engine
-    performs zero cache rebuilds (``dag.cache.rebuild`` stays 0 — pinned
-    by ``tests/test_parallel_rss.py`` for the vector engine, whose caches
-    are all numpy arrays; the heap engine's Python-list conversions are
-    per-process by nature).
+    shared-memory cache wire format, so a worker running the batched
+    kernel performs zero cache rebuilds (``dag.cache.rebuild`` stays 0 —
+    pinned by ``tests/test_parallel_rss.py``; the heap engine's
+    Python-list conversions are per-process by nature).
     """
     union = inst.union_dag()
     union.successor_csr()
@@ -57,8 +58,10 @@ def warm_instance(
     union.outdegree()
     union.num_levels()
     union.topological_order()
-    if engine in ("bucket", "auto"):
-        union.padded_successors()
+    if engine != "heap":
+        from repro.core.fast_scheduler import padded_promotion
+
+        padded_promotion(union)
     inst.task_levels()
     for g in inst.dags:
         g.num_levels()

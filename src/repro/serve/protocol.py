@@ -21,13 +21,15 @@ Request kinds
 -------------
 ``schedule``
     One grid cell: ``instance`` (see below), ``algorithm``, ``m``,
-    ``block_size``, ``seed``, plus optional ``engine`` (default
-    ``"auto"``), ``with_comm`` (default true) and ``deadline_s`` — a
+    ``block_size``, ``seed``, plus optional ``engine`` (one of
+    :data:`repro.core.list_scheduler.ENGINES`, default ``"auto"``),
+    ``with_comm`` (default true) and ``deadline_s`` — a
     per-request deadline in seconds; an expired request is answered
     with :data:`E_DEADLINE_EXCEEDED` instead of a stale result.
 ``publish``
     Pre-publish an instance into shared memory: ``instance`` plus
-    optional ``block_sizes`` (labellings to publish alongside).
+    optional ``block_sizes`` (labellings to publish alongside) and
+    ``engine`` (selects which caches are warmed).
 ``status``
     Daemon liveness/occupancy snapshot (resident instances, pending
     requests, drain state).
@@ -47,6 +49,7 @@ import json
 import socket
 import struct
 
+from repro.core.list_scheduler import ENGINES
 from repro.util.errors import ServeError
 
 __all__ = [
@@ -259,6 +262,12 @@ def validate_request(payload: dict) -> dict:
                 E_BAD_REQUEST, f"{kind} request needs an 'instance' object"
             )
         _check_fields(instance, _INSTANCE_FIELDS, "instance")
+        engine = payload.get("engine", "auto")
+        if not isinstance(engine, str) or engine not in ENGINES:
+            raise ServeError(
+                E_BAD_REQUEST,
+                f"engine must be one of {ENGINES}, got {engine!r}",
+            )
     if kind == "schedule":
         _check_fields(payload, _SCHEDULE_FIELDS, "schedule request")
         if "seed" not in payload:

@@ -75,32 +75,12 @@ def build_instance(
     tol: float = DEFAULT_TOL,
     name: str | None = None,
 ) -> SweepInstance:
-    """Assemble the full sweep-scheduling instance for a direction set."""
-    directions = np.asarray(directions, dtype=np.float64)
-    if directions.ndim != 2 or directions.shape[1] != mesh.dim:
-        raise MeshError(
-            f"directions must be (k, {mesh.dim}); got {directions.shape}"
-        )
-    dags = [sweep_dag(mesh, w, tol=tol) for w in directions]
-    return SweepInstance(
-        mesh.n_cells,
-        dags,
-        cell_graph_edges=mesh.adjacency,
-        name=name or f"{mesh.name}_k{directions.shape[0]}",
-    )
+    """Assemble the full sweep-scheduling instance for a direction set.
 
-
-def build_instance_batched(
-    mesh: Mesh,
-    directions: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    name: str | None = None,
-) -> SweepInstance:
-    """Batched multi-direction instance construction (one pass, k DAGs).
-
-    Bit-identical to :func:`build_instance` (the per-direction reference
-    path, locked by ``tests/test_batched_builder.py``) but built in four
-    batched phases instead of ``k`` independent ``sweep_dag`` calls:
+    Bit-identical to building each direction with :func:`sweep_dag` (the
+    per-direction reference, kept as the oracle of
+    ``tests/test_batched_builder.py``) but built in four batched phases
+    instead of ``k`` independent ``sweep_dag`` calls:
 
     1. **edges** — one ``face_normals @ directions.T`` product gives all
        ``n_faces x k`` upwind signs; every per-direction edge array is
@@ -219,3 +199,7 @@ def build_instance_batched(
     )
     inst._task_level = task_level
     return inst
+
+
+#: The name the batched builder was introduced under; the same function.
+build_instance_batched = build_instance

@@ -1,8 +1,11 @@
 """Equivalence lockdown for the batched instance builder.
 
-``build_instance_batched`` must be **bit-identical** to the seed
-per-direction path (``build_instance``) — same edge arrays in the same
-order, same CSR, same levels/topo orders, same ``task_levels`` — while
+``build_instance`` (the one production builder; ``build_instance_batched``
+is the same function) must be **bit-identical** to the seed
+per-direction path — one ``sweep_dag`` call per direction, kept here as
+:func:`reference_instance`, the test oracle — with the same edge arrays
+in the same order, same CSR, same levels/topo orders, same
+``task_levels``, while
 skipping the Tarjan SCC pass whenever the acyclicity fast-path
 predicate holds.  This battery locks that contract three ways:
 
@@ -26,12 +29,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.core.instance import SweepInstance
 from repro.mesh import Mesh
 from repro.mesh.generators import MESH_GENERATORS, make_mesh, mesh_dim
 from repro.sweeps import (
     build_instance,
     build_instance_batched,
     directions_for_mesh,
+    sweep_dag,
 )
 from repro.sweeps import dag_builder
 from repro.util.errors import InvalidInstanceError, MeshError
@@ -47,6 +52,19 @@ _INSTANCE_GOLD = {
     "tetonly": 1530540627,
     "well_logging": 3202847548,
 }
+
+
+def reference_instance(mesh, directions) -> SweepInstance:
+    """The seed per-direction path: ``k`` independent ``sweep_dag``
+    builds, each breaking its own cycles.  The oracle the batched builder
+    is compared against; no production caller uses it."""
+    dags = [sweep_dag(mesh, w) for w in np.asarray(directions, dtype=np.float64)]
+    return SweepInstance(
+        mesh.n_cells,
+        dags,
+        cell_graph_edges=mesh.adjacency,
+        name=f"{mesh.name}_k{len(dags)}",
+    )
 
 
 def _instance_blob(inst) -> bytes:
@@ -95,14 +113,14 @@ class TestFamilyEquivalence:
         mesh = make_mesh(family, target_cells=200, seed=0)
         dirs = directions_for_mesh(mesh_dim(family), 8)
         _assert_instances_identical(
-            build_instance(mesh, dirs), build_instance_batched(mesh, dirs)
+            reference_instance(mesh, dirs), build_instance(mesh, dirs)
         )
 
     @pytest.mark.parametrize("family", sorted(_INSTANCE_GOLD))
     def test_golden_instance_checksum(self, family):
         mesh = make_mesh(family, target_cells=200, seed=0)
         dirs = directions_for_mesh(mesh_dim(family), 8)
-        inst = build_instance_batched(mesh, dirs)
+        inst = build_instance(mesh, dirs)
         assert zlib.crc32(_instance_blob(inst)) == _INSTANCE_GOLD[family]
 
     def test_prebuilt_task_levels_match_lazy(self):
@@ -110,32 +128,36 @@ class TestFamilyEquivalence:
         lazy per-dag path would have computed from scratch."""
         mesh = make_mesh("tetonly", target_cells=200, seed=0)
         dirs = directions_for_mesh(3, 8)
-        batched = build_instance_batched(mesh, dirs)
+        batched = build_instance(mesh, dirs)
         assert batched._task_level is not None
-        lazy = build_instance(mesh, dirs)
+        lazy = reference_instance(mesh, dirs)
         assert lazy._task_level is None
         assert np.array_equal(batched.task_levels(), lazy.task_levels())
+
+    def test_one_builder_two_names(self):
+        assert build_instance_batched is build_instance
+        assert dag_builder.build_instance_batched is build_instance
 
     def test_name_and_cell_graph(self):
         mesh = make_mesh("tetonly", target_cells=120, seed=0)
         dirs = directions_for_mesh(3, 4)
-        inst = build_instance_batched(mesh, dirs)
+        inst = build_instance(mesh, dirs)
         assert inst.name.endswith("_k4")
         assert np.array_equal(inst.cell_graph_edges, mesh.adjacency)
-        named = build_instance_batched(mesh, dirs, name="custom")
+        named = build_instance(mesh, dirs, name="custom")
         assert named.name == "custom"
 
     def test_rejects_wrong_direction_dim(self):
         mesh = make_mesh("tetonly", target_cells=120, seed=0)
         with pytest.raises(MeshError, match="directions"):
-            build_instance_batched(mesh, np.ones((4, 2)))
+            build_instance(mesh, np.ones((4, 2)))
 
     def test_zero_directions_rejected_like_seed_path(self):
         mesh = make_mesh("tetonly", target_cells=120, seed=0)
         with pytest.raises(InvalidInstanceError, match="at least one"):
-            build_instance(mesh, np.empty((0, 3)))
+            reference_instance(mesh, np.empty((0, 3)))
         with pytest.raises(InvalidInstanceError, match="at least one"):
-            build_instance_batched(mesh, np.empty((0, 3)))
+            build_instance(mesh, np.empty((0, 3)))
 
 
 class TestRandomEquivalence:
@@ -153,7 +175,7 @@ class TestRandomEquivalence:
         if dirs.shape[0] == 0:
             return
         _assert_instances_identical(
-            build_instance(mesh, dirs), build_instance_batched(mesh, dirs)
+            reference_instance(mesh, dirs), build_instance(mesh, dirs)
         )
 
 
@@ -164,12 +186,12 @@ class TestCycleFallback:
         mesh = cyclic_triangle_mesh()
         dirs = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         _assert_instances_identical(
-            build_instance(mesh, dirs), build_instance_batched(mesh, dirs)
+            reference_instance(mesh, dirs), build_instance(mesh, dirs)
         )
 
     def test_cyclic_direction_is_acyclic_after_fallback(self):
         mesh = cyclic_triangle_mesh()
-        inst = build_instance_batched(mesh, np.array([[1.0, 0.0]]))
+        inst = build_instance(mesh, np.array([[1.0, 0.0]]))
         assert inst.dags[0].num_levels() >= 1
         # break_cycles dropped at least one of the three cycle edges.
         assert inst.dags[0].edges.shape[0] < 3
@@ -180,7 +202,7 @@ class TestCycleFallback:
         must refuse to return a cyclic 'DAG'."""
         monkeypatch.setattr(dag_builder, "_MUTATION", "skip_cycle_check")
         with pytest.raises(InvalidInstanceError, match="cycle-check"):
-            build_instance_batched(
+            build_instance(
                 cyclic_triangle_mesh(), np.array([[1.0, 0.0]])
             )
 
@@ -189,10 +211,10 @@ class TestCycleFallback:
         nothing: the fast path was going to be taken anyway."""
         mesh = make_mesh("square2d", target_cells=60, seed=0)
         dirs = directions_for_mesh(2, 4)
-        reference = build_instance_batched(mesh, dirs)
+        reference = build_instance(mesh, dirs)
         monkeypatch.setattr(dag_builder, "_MUTATION", "skip_cycle_check")
         _assert_instances_identical(
-            reference, build_instance_batched(mesh, dirs)
+            reference, build_instance(mesh, dirs)
         )
 
 
@@ -210,14 +232,14 @@ class TestObsInstrumentation:
     def test_tarjan_skipped_counter(self, traced):
         mesh = make_mesh("tetonly", target_cells=120, seed=0)
         dirs = directions_for_mesh(3, 8)
-        build_instance_batched(mesh, dirs)
+        build_instance(mesh, dirs)
         metrics = obs.drain_metrics()
         # Delaunay meshes are acyclic in every direction: all k skip.
         assert metrics["counters"]["build.tarjan_skipped"] == dirs.shape[0]
 
     def test_build_spans_emitted(self, traced):
         mesh = make_mesh("tetonly", target_cells=120, seed=0)
-        build_instance_batched(mesh, directions_for_mesh(3, 4))
+        build_instance(mesh, directions_for_mesh(3, 4))
         names = {s.name for s in obs.drain_spans()}
         assert {
             "build.edges", "build.cycle_check", "build.csr", "build.levels"

@@ -26,8 +26,8 @@ import pytest
 from repro import cache as build_cache
 from repro.experiments.configs import ExperimentConfig
 from repro.experiments import runner
-from repro.mesh.generators import make_mesh, mesh_dim
-from repro.sweeps import build_instance_batched, directions_for_mesh
+from repro.mesh.generators import make_mesh
+from repro.sweeps import build_instance, directions_for_mesh
 from repro.sweeps.dag_builder import DEFAULT_TOL
 from repro.util.errors import CacheError
 
@@ -48,7 +48,7 @@ def cache_root(tmp_path, monkeypatch):
 def _tet_instance(cells=120, k=4):
     mesh = make_mesh("tetonly", target_cells=cells, seed=0)
     dirs = directions_for_mesh(3, k)
-    inst = build_instance_batched(mesh, dirs)
+    inst = build_instance(mesh, dirs)
     key = build_cache.instance_key("tetonly", cells, 0, k, DEFAULT_TOL, dirs)
     return key, inst
 

@@ -24,6 +24,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["mesh", "--mesh", "bogus"])
 
+    def test_request_engine_choices(self, capsys):
+        """``repro request --engine`` accepts exactly the engine names
+        (``vector`` included, as an alias) and refuses anything else at
+        parse time, before any connection is attempted."""
+        from repro.core.list_scheduler import ENGINES
+
+        for engine in ENGINES:
+            args = build_parser().parse_args(["request", "--engine", engine])
+            assert args.engine == engine
+        assert build_parser().parse_args(["request"]).engine == "auto"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["request", "--engine", "quantum"])
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestScheduleCommand:
     def test_basic_run(self, capsys):

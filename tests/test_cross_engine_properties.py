@@ -5,18 +5,19 @@ quality (the standard engine, the timed engine, the exact oracle) and
 two independent feasibility oracles (the validator, the transport
 sweep).  These properties tie them together on random instances — the
 strongest internal-consistency net the library can cast.  The last
-class closes the net over the three list-scheduling engine
-implementations (heap, bucket, vector): identical makespans,
-assignments, and CRC-32 start checksums on hypothesis-random instances.
+class closes the net over the three list-scheduling implementations
+(the heap engine and the batched kernel under padded-matrix and CSR
+promotion): identical makespans, assignments, and CRC-32 start checksums
+on hypothesis-random instances.
 """
 
 import zlib
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.fast_scheduler as fs
 from repro.analysis import gantt_text
 from repro.core import (
     latency_list_schedule,
@@ -88,16 +89,28 @@ class TestTimedGantt:
 
 
 class TestThreeEngineChecksums:
-    """heap == bucket == vector, summarised three independent ways.
+    """heap == bucket[padded] == bucket[csr], summarised three ways.
 
     The equivalence suite compares start arrays elementwise; these
     properties pin the *derived* quantities every consumer actually
     reads — makespan, the echoed assignment, and the CRC-32 start
-    checksum the bench report commits — across all three engines on
-    hypothesis-random instances, assigned and unassigned mode alike.
+    checksum the bench report commits — across the heap engine and both
+    promotion strategies of the batched kernel on hypothesis-random
+    instances, assigned and unassigned mode alike.
     """
 
-    ENGINES = ("heap", "bucket", "vector")
+    ENGINES = ("heap", "bucket[padded]", "bucket[csr]")
+
+    @staticmethod
+    def _run(variant, fn, *args, **kwargs):
+        """Run ``fn`` on one variant, forcing its promotion strategy."""
+        engine, _, promotion = variant.partition("[")
+        saved = fs._FORCE_PROMOTION
+        fs._FORCE_PROMOTION = promotion.rstrip("]") or None
+        try:
+            return fn(*args, engine=engine, **kwargs)
+        finally:
+            fs._FORCE_PROMOTION = saved
 
     @staticmethod
     def _crc(arr):
@@ -118,8 +131,8 @@ class TestThreeEngineChecksums:
         assignment = rng.integers(0, m, inst.n_cells)
         prio = rng.integers(-4, 4, inst.n_tasks)
         results = {
-            engine: list_schedule(
-                inst, m, assignment, priority=prio, engine=engine
+            engine: self._run(
+                engine, list_schedule, inst, m, assignment, priority=prio
             )
             for engine in self.ENGINES
         }
@@ -141,8 +154,8 @@ class TestThreeEngineChecksums:
         rng = as_rng(seed)
         prio = rng.integers(-4, 4, inst.n_tasks)
         results = {
-            engine: list_schedule_unassigned(
-                inst, m, priority=prio, engine=engine
+            engine: self._run(
+                engine, list_schedule_unassigned, inst, m, priority=prio
             )
             for engine in self.ENGINES
         }

@@ -1,8 +1,7 @@
-"""Cross-engine equivalence: heap vs bucket vs vector, bit for bit.
+"""Cross-engine equivalence: heap vs the batched kernel, bit for bit.
 
-The headline guarantee of the batched engines
-(:mod:`repro.core.fast_scheduler` and
-:mod:`repro.core.vector_scheduler`) is that they are pure optimisations:
+The headline guarantee of the batched kernel
+(:mod:`repro.core.fast_scheduler`) is that it is a pure optimisation:
 same start times, same machine numbers, same tie-breaks, same errors as
 the heap engine, on every input.  This suite pins that guarantee on
 
@@ -11,10 +10,11 @@ the heap engine, on every input.  This suite pins that guarantee on
 * every persisted fuzz-corpus entry,
 * random hypothesis instances,
 
-always exercising *both* internal bucket-engine paths (the vectorised
-sorted pool and the narrow bucket queues) via the ``_FORCE_PATH`` test
-hook and the vector engine's superstep kernel, so the ``auto`` width
-heuristic can never hide a broken path.  Start arrays are compared both
+always exercising *both* promotion strategies of the kernel (padded
+successor matrix and CSR gather) via the ``_FORCE_PROMOTION`` test hook,
+so neither the width rule behind ``auto`` nor the one behind
+:func:`~repro.core.fast_scheduler.padded_promotion` can hide a broken
+path.  Start arrays are compared both
 elementwise and by CRC-32 checksum — the same digest the bench report
 commits — so a checksum scheme that ever diverged from the arrays would
 be caught here first.
@@ -46,17 +46,17 @@ from repro.util.rng import as_rng
 
 from .strategies import sweep_instances
 
-PATHS = ("bucket", "pool")
+PROMOTIONS = ("padded", "csr")
 
 
 @contextmanager
-def force_path(path):
-    saved = fs._FORCE_PATH
-    fs._FORCE_PATH = path
+def force_promotion(promotion):
+    saved = fs._FORCE_PROMOTION
+    fs._FORCE_PROMOTION = promotion
     try:
         yield
     finally:
-        fs._FORCE_PATH = saved
+        fs._FORCE_PROMOTION = saved
 
 
 def start_checksum(schedule):
@@ -66,22 +66,21 @@ def start_checksum(schedule):
 
 
 def engine_variants():
-    """Every (label, engine, forced path) combination the suite runs."""
-    yield "bucket[bucket]", "bucket", "bucket"
-    yield "bucket[pool]", "bucket", "pool"
-    yield "vector", "vector", None
+    """Every (label, engine, forced promotion) combination the suite runs."""
+    for promotion in PROMOTIONS:
+        yield f"bucket[{promotion}]", "bucket", promotion
 
 
 def assert_engines_match(inst, m, assignment, priority, label=""):
-    """Heap vs bucket (both paths) vs vector, assigned and unassigned.
+    """Heap vs the kernel (both promotions), assigned and unassigned.
 
     Asserts identical start arrays, assignments, machine numbers,
     makespans, and CRC-32 start checksums for every engine variant.
     """
     ref = list_schedule(inst, m, assignment, priority=priority, engine="heap")
     uref = list_schedule_unassigned(inst, m, priority=priority, engine="heap")
-    for vlabel, engine, path in engine_variants():
-        with force_path(path):
+    for vlabel, engine, promotion in engine_variants():
+        with force_promotion(promotion):
             got = list_schedule(
                 inst, m, assignment, priority=priority, engine=engine
             )
@@ -151,8 +150,8 @@ class TestRegistryGoldens:
         fn = get_algorithm(algorithm)
         for label, inst, m in golden_cases:
             ref = fn(inst, m, seed=0, engine="heap")
-            for vlabel, engine, path in engine_variants():
-                with force_path(path):
+            for vlabel, engine, promotion in engine_variants():
+                with force_promotion(promotion):
                     got = fn(inst, m, seed=0, engine=engine)
                 assert np.array_equal(got.start, ref.start), (
                     f"{label}/{algorithm} [{vlabel}]"
@@ -198,9 +197,8 @@ class TestPriorityProperties:
 
     def _engines(self):
         yield "heap", None
-        yield "vector", None
-        for path in PATHS:
-            yield "bucket", path
+        for promotion in PROMOTIONS:
+            yield "bucket", promotion
 
     @given(sweep_instances(max_n=12, max_k=3))
     @settings(max_examples=25, deadline=None)
@@ -208,8 +206,8 @@ class TestPriorityProperties:
         m = 3
         assignment = np.arange(inst.n_cells) % m
         zeros = np.zeros(inst.n_tasks, dtype=np.int64)
-        for engine, path in self._engines():
-            with force_path(path):
+        for engine, promotion in self._engines():
+            with force_promotion(promotion):
                 a = list_schedule(inst, m, assignment, priority=None,
                                   engine=engine)
                 b = list_schedule(inst, m, assignment, priority=zeros,
@@ -218,9 +216,9 @@ class TestPriorityProperties:
                                               engine=engine)
                 ub = list_schedule_unassigned(inst, m, priority=zeros,
                                               engine=engine)
-            assert np.array_equal(a.start, b.start), (engine, path)
-            assert np.array_equal(ua.start, ub.start), (engine, path)
-            assert np.array_equal(ua.machine, ub.machine), (engine, path)
+            assert np.array_equal(a.start, b.start), (engine, promotion)
+            assert np.array_equal(ua.start, ub.start), (engine, promotion)
+            assert np.array_equal(ua.machine, ub.machine), (engine, promotion)
 
     @given(
         sweep_instances(max_n=12, max_k=3),
@@ -234,13 +232,13 @@ class TestPriorityProperties:
         assignment = np.arange(inst.n_cells) % m
         prio = rng.integers(0, 5, inst.n_tasks)
         scaled = prio * 1000 - 7
-        for engine, path in self._engines():
-            with force_path(path):
+        for engine, promotion in self._engines():
+            with force_promotion(promotion):
                 a = list_schedule(inst, m, assignment, priority=prio,
                                   engine=engine)
                 b = list_schedule(inst, m, assignment, priority=scaled,
                                   engine=engine)
-            assert np.array_equal(a.start, b.start), (engine, path)
+            assert np.array_equal(a.start, b.start), (engine, promotion)
 
     @given(
         sweep_instances(max_n=10, max_k=3),
@@ -272,8 +270,8 @@ class TestPriorityProperties:
             again = list_schedule(vinst, m, assignment, priority=None,
                                   engine="heap")
             assert np.array_equal(ref.start, again.start), variant
-            for vlabel, engine, path in engine_variants():
-                with force_path(path):
+            for vlabel, engine, promotion in engine_variants():
+                with force_promotion(promotion):
                     got = list_schedule(vinst, m, assignment, priority=None,
                                         engine=engine)
                 assert np.array_equal(got.start, ref.start), (variant, vlabel)
@@ -284,27 +282,32 @@ class TestPriorityProperties:
 
 class TestAutoRule:
     def test_auto_crossover_heap_bucket_vector(self):
-        """The three-way width rule: heap below the bucket crossover,
-        bucket in the merely-wide regime, vector once the *uncapped* mean
-        wavefront reaches ``_VECTOR_MIN_WIDTH`` tasks per level.
+        """The width rule: heap below the crossover, the batched kernel
+        with padded promotion in the merely-wide regime, and the kernel
+        with CSR promotion once the *uncapped* mean wavefront reaches
+        ``_CSR_MIN_WIDTH`` tasks per level — the regime the former
+        vector engine covered.  ``auto`` only ever names two engines.
         """
+        from repro.core.fast_scheduler import _CSR_MIN_WIDTH, padded_promotion
         from repro.core.list_scheduler import resolve_engine
-        from repro.core.vector_scheduler import _VECTOR_MIN_WIDTH
         from repro.instances.families import identical_chains, wide_shallow
 
         narrow = identical_chains(64, 2)
         assert resolve_engine("auto", None, narrow, 4) == "heap"
-        # Wide but below the vector crossover: the bucket engine's regime.
+        # Wide but below the CSR crossover: padded promotion.
         wide = wide_shallow(1000, 2, seed=0)
-        assert wide.n_tasks // wide.union_dag().num_levels() < _VECTOR_MIN_WIDTH
+        assert wide.n_tasks // wide.union_dag().num_levels() < _CSR_MIN_WIDTH
         assert resolve_engine("auto", None, wide, 512) == "bucket"
-        # At/above the vector crossover the frontier batch kernel wins.
+        assert padded_promotion(wide.union_dag()) is not None
+        # At/above the CSR crossover the kernel runs at any m.
         very_wide = wide_shallow(4000, 2, seed=0)
         assert (
             very_wide.n_tasks // very_wide.union_dag().num_levels()
-            >= _VECTOR_MIN_WIDTH
+            >= _CSR_MIN_WIDTH
         )
-        assert resolve_engine("auto", None, very_wide, 512) == "vector"
+        assert resolve_engine("auto", None, very_wide, 512) == "bucket"
+        assert resolve_engine("auto", None, very_wide, 4) == "bucket"
+        assert padded_promotion(very_wide.union_dag()) is None
         # Unsupported keys force the heap even on very wide instances.
         obj = np.empty(very_wide.n_tasks, dtype=object)
         obj[:] = [(0, i) for i in range(very_wide.n_tasks)]
@@ -316,7 +319,19 @@ class TestAutoRule:
         from repro.instances.families import identical_chains
 
         narrow = identical_chains(64, 2)
-        assert resolve_engine(engine, None, narrow, 4) == engine
+        assert resolve_engine(engine, None, narrow, 4) == "bucket"
+
+    def test_vector_is_an_alias_of_bucket(self):
+        """``"vector"`` stays a valid request (campaign specs and served
+        requests store the requested string) and always resolves to the
+        batched kernel, with or without an instance."""
+        from repro.core.list_scheduler import ENGINES, resolve_engine
+        from repro.instances.families import wide_shallow
+
+        assert "vector" in ENGINES
+        assert resolve_engine("vector", None) == "bucket"
+        very_wide = wide_shallow(4000, 2, seed=0)
+        assert resolve_engine("vector", None, very_wide, 4) == "bucket"
 
     @pytest.mark.parametrize("engine", ["bucket", "vector"])
     def test_explicit_engine_rejects_object_keys(self, engine):
@@ -336,3 +351,104 @@ class TestAutoRule:
 
         with pytest.raises(InvalidScheduleError, match="unknown engine"):
             resolve_engine("quantum", None)
+
+    @given(
+        st.sampled_from(["heap", "bucket", "vector", "auto"]),
+        st.one_of(st.none(), st.just("float"), st.just("object")),
+        st.integers(min_value=1, max_value=600),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_resolves_to_two_names_only(self, engine, keys, m):
+        from repro.core.list_scheduler import resolve_engine
+        from repro.instances.families import wide_shallow
+        from repro.util.errors import InvalidScheduleError
+
+        inst = wide_shallow(200, 2, seed=0)
+        if keys is None:
+            priority = None
+        elif keys == "float":
+            priority = np.linspace(0.0, 1.0, inst.n_tasks)
+        else:
+            priority = np.empty(inst.n_tasks, dtype=object)
+            priority[:] = [(0, i) for i in range(inst.n_tasks)]
+        try:
+            resolved = resolve_engine(engine, priority, inst, m)
+        except InvalidScheduleError:
+            assert keys == "object" and engine in ("bucket", "vector")
+            return
+        assert resolved in ("heap", "bucket")
+
+
+class TestCodeOverflow:
+    """Packed codes that cannot fit ``_CODE_BITS`` bits go to the heap."""
+
+    def test_overflow_falls_back_to_heap(self, monkeypatch):
+        from repro import obs
+
+        inst, m = build_case(
+            {"family": "mesh", "seed": 1, "m": 3, "params": {}}
+        )
+        assignment = random_cell_assignment(inst.n_cells, m, as_rng(1))
+        prio = as_rng(1).integers(0, 50, inst.n_tasks)
+        ref = list_schedule(inst, m, assignment, priority=prio, engine="heap")
+        uref = list_schedule_unassigned(inst, m, priority=prio, engine="heap")
+        monkeypatch.setattr(fs, "_CODE_BITS", 4)
+        was_on = obs.tracing_enabled()
+        obs.enable_tracing()
+        obs.reset()
+        try:
+            got = list_schedule(
+                inst, m, assignment, priority=prio, engine="bucket"
+            )
+            ugot = list_schedule_unassigned(
+                inst, m, priority=prio, engine="bucket"
+            )
+            counters = obs.drain_metrics()["counters"]
+        finally:
+            obs.reset()
+            if not was_on:
+                obs.disable_tracing()
+        # Both modes ran on the heap, not the kernel...
+        assert counters.get("scheduler.heap.runs") == 2
+        assert "scheduler.pool.steps" not in counters
+        # ...and match the heap reference bit for bit.
+        assert np.array_equal(got.start, ref.start)
+        assert np.array_equal(got.assignment, ref.assignment)
+        assert np.array_equal(ugot.start, uref.start)
+        assert np.array_equal(ugot.machine, uref.machine)
+
+    @given(
+        st.lists(st.integers(0, 2**40), max_size=64),
+        st.one_of(st.none(), st.integers(1, 1000)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_budget_boundary(self, keys, m):
+        """``_pool_codes`` packs exactly when the rank-compressed key
+        fits the budget: at the boundary it returns an order-preserving
+        key whose largest code fits, one bit below it returns ``None``."""
+        key = np.asarray(keys, dtype=np.int64)
+        n = key.size
+        logn = max(1, (n - 1).bit_length())
+        logm = 0 if m is None else max(1, (m - 1).bit_length())
+        ranks = np.unique(key, return_inverse=True)[1].reshape(-1)
+        kb = max(1, int(ranks.max()).bit_length()) if n else 1
+        need = logn + kb + logm
+        saved = fs._CODE_BITS
+        try:
+            fs._CODE_BITS = need
+            packed = fs._pool_codes(key, n, m)
+            assert packed is not None
+            got, got_logn, got_kb = packed
+            assert got_logn == logn
+            assert np.array_equal(
+                np.unique(got, return_inverse=True)[1].reshape(-1), ranks
+            )
+            if n:
+                top = ((0 if m is None else m - 1) << (got_logn + got_kb)) | (
+                    int(got.max()) << got_logn
+                ) | (n - 1)
+                assert top < 2**need
+            fs._CODE_BITS = need - 1
+            assert fs._pool_codes(key, n, m) is None
+        finally:
+            fs._CODE_BITS = saved

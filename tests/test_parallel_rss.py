@@ -5,14 +5,17 @@ of inheriting a copy-on-write snapshot of the parent heap, so each
 worker's peak RSS (``VmHWM``) must stay under the bench schema's
 :data:`repro.experiments.bench.WORKER_RSS_CEILING_MB` — the fork-era
 figure was ~860 MiB against a 150 MiB ceiling.  And because
-:func:`repro.parallel.worker.warm_instance` ships every cache the vector
-engine touches through the shm wire format, a vector-engine grid must
-perform *zero* cache rebuilds inside workers: the ``dag.cache.rebuild``
-counter (incremented whenever an adopted Dag re-materialises a cache it
-should have received) stays at zero across the whole run.  A heap-engine
+:func:`repro.parallel.worker.warm_instance` ships every cache the batched
+kernel reads (it asks :func:`repro.core.fast_scheduler.padded_promotion`
+which promotion the kernel will use) through the shm wire format, a
+batched-kernel grid must perform *zero* cache rebuilds inside workers:
+the ``dag.cache.rebuild`` counter (incremented whenever an adopted Dag
+re-materialises a cache it should have received) stays at zero across
+the whole run.  The grids request ``engine="vector"``, the kernel's
+alias, so the alias's warm path is the one pinned.  A heap-engine
 control grid proves the counter is live — the heap's Python-list caches
 are per-process by nature, so its workers *must* rebuild — which keeps
-the vector assertion falsifiable rather than vacuous.
+the zero-rebuild assertion falsifiable rather than vacuous.
 
 Marked ``grid_smoke`` alongside the other dispatcher end-to-end tests:
 
@@ -75,7 +78,7 @@ class TestWorkerRssAndZeroRebuild:
         metrics = obs.drain_metrics()
         rebuilds = metrics["counters"].get("dag.cache.rebuild", 0)
         assert rebuilds == 0, (
-            f"vector-engine workers re-materialised {rebuilds} adopted "
+            f"batched-kernel workers re-materialised {rebuilds} adopted "
             "caches — warm_instance no longer ships everything the engine "
             "touches"
         )
@@ -85,7 +88,7 @@ class TestWorkerRssAndZeroRebuild:
     def test_rebuild_counter_is_live(self, traced_env):
         """Heap-engine control: its Python-list caches cannot ship over
         shm, so workers must rebuild them — proving the counter the
-        vector test pins at zero actually fires.
+        batched-kernel test pins at zero actually fires.
         """
         obs.reset()
         rows = run_grid(_grid_config("heap"), with_comm=False, workers=2)

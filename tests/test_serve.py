@@ -89,6 +89,22 @@ class TestProtocol:
                 protocol.validate_request(broken)
             assert err.value.code == protocol.E_BAD_REQUEST
 
+    @pytest.mark.parametrize("kind", ["schedule", "publish"])
+    def test_validate_rejects_unknown_engine(self, kind):
+        """An unknown or non-string engine is a ``bad_request`` at the
+        front door, before the daemon publishes or pins anything."""
+        base = {
+            "v": 1, "id": 1, "kind": kind, "instance": dict(INSTANCE),
+            "algorithm": "fifo", "m": 4, "block_size": 1, "seed": 0,
+        }
+        for engine in ("heap", "bucket", "vector", "auto"):
+            assert protocol.validate_request({**base, "engine": engine})
+        for engine in ("quantum", "", 7, None, ["bucket"]):
+            with pytest.raises(ServeError) as err:
+                protocol.validate_request({**base, "engine": engine})
+            assert err.value.code == protocol.E_BAD_REQUEST
+            assert "engine" in str(err.value)
+
     def test_error_payload_roundtrip(self):
         response = protocol.error_response(
             7, protocol.E_OVERLOADED, "queue full", retry_after=0.25
