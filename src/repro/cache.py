@@ -136,8 +136,8 @@ def override_dir(path: str | os.PathLike | None) -> Iterator[Path | None]:
     """Temporarily point :data:`DIR_ENV` at ``path`` (``None`` disables).
 
     Yields the resulting :func:`cache_dir` and restores the previous
-    environment on exit — the bench harness's cold/warm construction row
-    and the test battery both run against throwaway directories.
+    environment on exit — ``perfbench/``, the ``cache`` CLI and the test
+    battery use it to run against throwaway directories.
     """
     previous = os.environ.get(DIR_ENV)
     if path is None:

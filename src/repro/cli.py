@@ -8,7 +8,6 @@ Commands
 ``partition``  partition a mesh into blocks, report cut/balance
 ``transport``  run the S_n transport solve in schedule order
 ``fuzz``       differential fuzzing of every registered scheduler
-``bench``      time the scheduling engines (heap/bucket/vector), write JSON
 ``trace``      run a traced grid and export a Perfetto-loadable timeline
 ``campaign``   resumable declarative sweeps over a sqlite result store
 ``cache``      inspect/clear the content-addressed instance build cache
@@ -168,39 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict to these registry algorithms")
     p.add_argument("--quiet", action="store_true",
                    help="only print the final summary")
-
-    p = sub.add_parser(
-        "bench",
-        help="benchmark the heap/bucket/vector list-scheduling engines",
-        description=(
-            "Time the heap and bucket engines (plus the schema's vector "
-            "column, an alias of bucket) on the benchmark families "
-            "(large/standard mesh, chains, wide layers), cross-check that "
-            "they produce identical schedules, and write a schema-"
-            "versioned JSON report."
-        ),
-    )
-    p.add_argument("--smoke", action="store_true",
-                   help="tiny sizes for CI schema validation (seconds)")
-    p.add_argument("--cells", type=int, default=None,
-                   help="mesh cell count (default $REPRO_BENCH_CELLS or 2000)")
-    p.add_argument("--repeats", type=int, default=None,
-                   help="timing repeats per engine (best-of; default 5, 1 in smoke)")
-    p.add_argument("--grid-workers", type=int, nargs="*", default=None,
-                   metavar="W",
-                   help="worker counts for the grid family "
-                        "(default 1 2 4, or 1 2 in smoke)")
-    p.add_argument("--families", default=None, metavar="FAM[,FAM...]",
-                   help="comma-separated case-family subset (e.g. "
-                        "'chain,mesh_large'); writes a partial report "
-                        "without the grid/construction sections")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None,
-                   help="output JSON path (default BENCH_<schema>.json; '-' for stdout)")
-    p.add_argument("--trace", nargs="?", const="TRACE.json", default=None,
-                   metavar="PATH",
-                   help="record a runtime trace of the benchmark and write "
-                        "Chrome trace-event JSON (default PATH: TRACE.json)")
 
     p = sub.add_parser(
         "trace",
@@ -621,93 +587,6 @@ def _cmd_fuzz(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_bench(args) -> int:
-    import json
-
-    from repro.experiments.bench import (
-        BENCH_SCHEMA_VERSION,
-        run_bench,
-        write_bench,
-    )
-
-    if args.trace:
-        from repro import obs
-
-        obs.enable_tracing()
-        obs.reset()
-    families = args.families.split(",") if args.families else None
-    try:
-        report = run_bench(
-            smoke=args.smoke, cells=args.cells, repeats=args.repeats,
-            seed=args.seed,
-            grid_workers=tuple(args.grid_workers) if args.grid_workers else None,
-            families=families,
-        )
-    except ValueError as exc:  # e.g. an unknown --families name
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for case in report["cases"]:
-        cols = " ".join(
-            f"{eng} {entry['wall_time_s'] * 1e3:8.1f}ms"
-            for eng, entry in case["engines"].items()
-        )
-        build_ms = (
-            case["phases"]["mesh_s"]
-            + case["phases"]["build_s"]
-            + case["phases"]["cache_s"]
-        ) * 1e3
-        print(
-            f"{case['family']:14s} n={case['n_tasks']:8d} m={case['m']:4d} "
-            f"build {build_ms:7.1f}ms {cols} "
-            f"speedup x{case['speedup']:.2f} auto={case['auto_engine']}"
-        )
-    if report["grid"] is not None:
-        for run in report["grid"]["runs"]:
-            same = "ok" if run["identical_to_serial"] else "DIFFERS"
-            print(
-                f"grid workers={run['workers']:2d} "
-                f"{run['wall_time_s'] * 1e3:8.1f}ms "
-                f"{run['rows_per_sec']:8.2f} rows/s "
-                f"chunks={run['n_chunks']:3d} "
-                f"worker-rss {run['peak_worker_rss_mb']:7.1f}MiB rows {same}"
-            )
-    if report["construction"] is not None:
-        c = report["construction"]
-        ident = "ok" if c["byte_identical"] else "DIFFERS"
-        print(
-            f"construction {c['family']} cells={c['cells']} k={c['k']} "
-            f"cold {c['cold_s'] * 1e3:8.1f}ms warm {c['warm_s'] * 1e3:8.1f}ms "
-            f"x{c['speedup']:.1f} hits={c['cache_hits']} arrays {ident}"
-        )
-    if report.get("serve") is not None:
-        s = report["serve"]
-        print(
-            f"serve cold one-shot {s['cold']['wall_time_s'] * 1e3:8.1f}ms "
-            f"warm-vs-cold x{s['warm_vs_cold_speedup']:.1f}"
-        )
-        for run in s["runs"]:
-            same = "ok" if run["identical_to_serial"] else "DIFFERS"
-            drain = "clean" if run["clean_exit"] else "DIRTY"
-            print(
-                f"serve workers={run['workers']:2d} "
-                f"p50 {run['warm_p50_ms']:7.1f}ms "
-                f"p95 {run['warm_p95_ms']:7.1f}ms "
-                f"unbatched {run['unbatched_requests_per_sec']:7.1f} req/s "
-                f"batched {run['batched_requests_per_sec']:7.1f} req/s "
-                f"chunks={run['chunks_dispatched']:3d} "
-                f"rows {same} drain {drain}"
-            )
-    out = args.out or f"BENCH_{BENCH_SCHEMA_VERSION}.json"
-    if out == "-":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        write_bench(report, out)
-        print(f"wrote {out}")
-    if args.trace:
-        _write_trace(args.trace)
-    return 0
-
-
 def _cmd_trace(args) -> int:
     import json
 
@@ -1038,7 +917,6 @@ _COMMANDS = {
     "tournament": _cmd_tournament,
     "families": _cmd_families,
     "fuzz": _cmd_fuzz,
-    "bench": _cmd_bench,
     "trace": _cmd_trace,
     "campaign": _cmd_campaign,
     "serve": _cmd_serve,

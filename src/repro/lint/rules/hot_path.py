@@ -1,9 +1,9 @@
 """RPL005 — hot-path hygiene.
 
 ``fast_scheduler.py``, ``list_scheduler.py``, and
-``parallel/dispatcher.py`` are the three files the benchmark baseline
-(``BENCH_4.json``) times; a single accidentally-quadratic idiom there
-erases the engine's measured 2x headroom long before any test fails.
+``parallel/dispatcher.py`` are the scheduling and dispatch layers the
+benchmark (``perfbench/``) times; a single accidentally-quadratic idiom
+there erases the kernel's headroom long before any test fails.
 Three APIs are banned in those files because each hides an O(n) copy or
 shift inside an innocent-looking call:
 

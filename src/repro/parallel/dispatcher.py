@@ -70,13 +70,13 @@ class CellBatch:
 class DispatchStats:
     """Observability counters for one dispatched grid.
 
-    The ``*_s`` fields are the per-phase wall-clock breakdown the bench
-    schema (v4) records per grid run: ``warm_s`` (parent-side cache
-    warm-up), ``plan_s`` (batch/chunk planning), ``publish_s`` (shared
-    segment publish), ``dispatch_s`` (pool lifetime: submit through last
-    result), and ``wait_s`` — the portion of ``dispatch_s`` the parent
-    spent blocked on ``wait()`` with no finished chunk to ingest, i.e.
-    aggregation stalls.
+    The ``*_s`` fields are the per-phase wall-clock breakdown that
+    ``perfbench/`` reports as its ``parallel.*`` layers (see
+    ``perfbench/README.md``): ``warm_s`` (parent-side cache warm-up),
+    ``publish_s`` (shared segment publish), ``dispatch_s`` (pool
+    lifetime: submit through last result), and ``wait_s`` — the portion
+    of ``dispatch_s`` the parent spent blocked on ``wait()`` with no
+    finished chunk to ingest, i.e. aggregation stalls.
     """
 
     workers: int = 0
@@ -85,20 +85,9 @@ class DispatchStats:
     peak_worker_rss_mb: float = 0.0
     chunk_cells: list = field(default_factory=list)
     warm_s: float = 0.0
-    plan_s: float = 0.0
     publish_s: float = 0.0
     dispatch_s: float = 0.0
     wait_s: float = 0.0
-
-    def phases(self) -> dict:
-        """The per-phase breakdown as the bench schema's ``phases`` dict."""
-        return {
-            "warm_s": self.warm_s,
-            "plan_s": self.plan_s,
-            "publish_s": self.publish_s,
-            "dispatch_s": self.dispatch_s,
-            "wait_s": self.wait_s,
-        }
 
 
 def grid_cells(config) -> list:
@@ -259,10 +248,9 @@ def run_dispatch(
                 if size > 1
             }
         stats.warm_s = t_warm.elapsed
-        with obs.span("grid.plan", cat="parallel"), Timer() as t_plan:
+        with obs.span("grid.plan", cat="parallel"):
             batches = plan_batches(config, cells=cells)
             chunks = plan_chunks(batches, workers, cell_cost=inst.n_tasks)
-        stats.plan_s = t_plan.elapsed
         stats.workers = workers
         stats.n_cells = sum(len(b.cells) for b in batches)
         stats.n_chunks = len(chunks)
@@ -278,8 +266,8 @@ def run_dispatch(
             # the shared segment and nothing else, so worker peak RSS is
             # the attach cost instead of a copy-on-write snapshot of the
             # parent's whole heap (fork inherited ~860 MB of parent pages
-            # into every worker's VmHWM on the bench grid; spawn stays
-            # under the committed bench worker-RSS ceiling).
+            # into every worker's VmHWM on a 2,000-cell grid; spawn stays
+            # under the worker-RSS ceiling tests/test_parallel_rss.py pins).
             with Timer() as t_disp, ProcessPoolExecutor(
                 max_workers=workers,
                 mp_context=get_context("spawn"),

@@ -103,15 +103,20 @@ def _die_with_parent() -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-def init_worker(manifest: "StoreManifest", trace: bool = False) -> None:
-    """Pool initializer: attach to the shared store before the first task.
+def init_worker(
+    manifest: "StoreManifest | None" = None, trace: bool = False
+) -> None:
+    """Pool initializer for grid and serve workers.
 
-    Attachment is memoised per process, so this only front-loads the
-    (tiny) mapping cost; :func:`run_chunk` would attach lazily anyway.
-    Registers an exit hook that drops the mapping when the worker dies,
-    and ties the worker's lifetime to the driver's
-    (:func:`_die_with_parent`) so a SIGKILL'd campaign or grid run
-    never strands orphan workers.
+    Ties the worker's lifetime to the driver's (:func:`_die_with_parent`)
+    so a SIGKILL'd campaign, grid run or daemon never strands orphan
+    workers, and registers an exit hook that drops the worker's
+    mappings when it dies.  Given a ``manifest`` (the one-shot grid
+    pool), the worker attaches to that store up front; attachment is
+    memoised per process, so this only front-loads the (tiny) mapping
+    cost.  Without one (the daemon's resident pool, which outlives many
+    instances) the worker attaches lazily per chunk inside
+    :func:`run_chunk`.
 
     ``trace`` mirrors the parent's tracing switch explicitly (env
     inheritance is not enough when the parent enabled tracing
@@ -129,7 +134,8 @@ def init_worker(manifest: "StoreManifest", trace: bool = False) -> None:
         obs.disable_tracing()
     obs.reset()
     atexit.register(detach_all)
-    attach(manifest)
+    if manifest is not None:
+        attach(manifest)
 
 
 def run_chunk(
@@ -144,7 +150,8 @@ def run_chunk(
     list of ``(cell index, ScheduleSummary)`` — keyed results, so the
     dispatcher aggregates by cell index and a transport reordering
     cannot silently mis-assign rows — ``peak_rss_mb`` is this worker's
-    peak RSS (the bench harness's flat-memory evidence), and
+    peak RSS (the flat-memory evidence ``tests/test_parallel_rss.py``
+    pins), and
     ``obs_payload`` carries this worker's buffered spans/metrics back
     over the result channel (``None`` when tracing is disabled).
 

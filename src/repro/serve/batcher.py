@@ -20,6 +20,7 @@ discarded the same way — a client never receives a stale result.
 from __future__ import annotations
 
 import asyncio
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -28,7 +29,7 @@ from repro.serve.instances import Lease
 from repro.util.errors import ServeError
 from repro.util.timing import now
 
-__all__ = ["BatchRequest", "Batcher", "init_serve_worker"]
+__all__ = ["BatchRequest", "Batcher"]
 
 #: Default coalescing window: long enough that one pipelined burst of
 #: client frames lands in one chunk, short enough to be invisible next
@@ -37,31 +38,6 @@ DEFAULT_MAX_DELAY_S = 0.005
 
 #: Hard cap on cells per coalesced chunk (memory/latency guard).
 DEFAULT_MAX_BATCH = 64
-
-
-def init_serve_worker(trace: bool = False) -> None:
-    """Pool initializer for the daemon's resident workers.
-
-    Unlike the one-shot grid pool (whose initializer pre-attaches one
-    manifest), a serve worker outlives many instances: it attaches
-    lazily per chunk (memoised per segment inside
-    :func:`repro.parallel.shm_store.attach`, which also evicts the
-    previous segment).  The worker still ties its lifetime to the
-    daemon's and drops mappings at exit.
-    """
-    import atexit
-
-    from repro import obs as worker_obs
-    from repro.parallel.shm_store import detach_all
-    from repro.parallel.worker import _die_with_parent
-
-    _die_with_parent()
-    if trace:
-        worker_obs.enable_tracing()
-    else:
-        worker_obs.disable_tracing()
-    worker_obs.reset()
-    atexit.register(detach_all)
 
 
 def _worker_ready() -> int:
@@ -126,30 +102,79 @@ class Batcher:
 
     # -- pool lifecycle ------------------------------------------------
 
+    def _new_pool(self):
+        """A spawn pool of lazily-attaching workers.
+
+        Unlike the one-shot grid pool (whose workers pre-attach one
+        manifest), a serve worker outlives many instances: it attaches
+        per chunk inside :func:`repro.parallel.worker.run_chunk`
+        (memoised per segment, evicting the previous one).
+        """
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        from repro.parallel.worker import init_worker
+
+        return ProcessPoolExecutor(
+            max_workers=self.workers,
+            mp_context=get_context("spawn"),
+            initializer=init_worker,
+            initargs=(None, obs.tracing_enabled()),
+        )
+
     def start(self) -> None:
         """Create the resident spawn pool and pre-spawn its workers.
 
         Paying interpreter+import startup here — not on the first
         request — is what makes warm request latency independent of
-        process creation (the cold/warm gap BENCH_7's serve family
-        measures).
+        process creation.
         """
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-
         if self._pool is not None:
             return
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=get_context("spawn"),
-            initializer=init_serve_worker,
-            initargs=(obs.tracing_enabled(),),
-        )
+        self._pool = self._new_pool()
         ready = [
             self._pool.submit(_worker_ready) for _ in range(self.workers)
         ]
         for fut in ready:
             fut.result()
+
+    async def _replace_pool(self, broken) -> None:
+        """Swap a pool that lost a worker for a fresh one.
+
+        A dead worker (SIGKILL, OOM kill) breaks the whole
+        ``ProcessPoolExecutor``, and every chunk that meets the broken
+        pool calls this; only the first call per broken pool replaces
+        it.  The fresh pool spawns its workers on demand, and the broken
+        one is shut down off the event loop.
+        """
+        if self._pool is not broken:
+            return
+        obs.inc("serve.pool_replaced")
+        self._pool = self._new_pool()
+        await asyncio.to_thread(broken.shutdown, wait=True)
+
+    async def _run_chunk(self, *args):
+        """Run ``run_chunk(*args)`` on the pool, replacing it if broken.
+
+        A pool found broken at submit never ran the chunk, so the chunk
+        is submitted again on the replacement.  A chunk in flight when a
+        worker died re-raises ``BrokenProcessPool`` after the pool is
+        replaced, and the caller fails that chunk's requests.
+        """
+        from repro.parallel.worker import run_chunk
+
+        pool = self._pool
+        try:
+            future = pool.submit(run_chunk, *args)
+        except BrokenProcessPool:
+            await self._replace_pool(pool)
+            pool = self._pool
+            future = pool.submit(run_chunk, *args)
+        try:
+            return await asyncio.wrap_future(future)
+        except BrokenProcessPool:
+            await self._replace_pool(pool)
+            raise
 
     async def shutdown(self) -> None:
         """Flush pending batches, await in-flight chunks, stop the pool."""
@@ -217,7 +242,6 @@ class Batcher:
     async def _dispatch(self, requests: list) -> None:
         """Run one coalesced chunk on the pool; settle every request."""
         from repro.parallel.dispatcher import GridCell
-        from repro.parallel.worker import run_chunk
 
         first = requests[0]
         cells = tuple(
@@ -232,14 +256,11 @@ class Batcher:
                 cat="serve",
                 args_fn=lambda: {"cells": len(cells)},
             ):
-                pairs, worker_rss, payload = await asyncio.wrap_future(
-                    self._pool.submit(
-                        run_chunk,
-                        first.lease.manifest,
-                        cells,
-                        first.with_comm,
-                        first.engine,
-                    )
+                pairs, worker_rss, payload = await self._run_chunk(
+                    first.lease.manifest,
+                    cells,
+                    first.with_comm,
+                    first.engine,
                 )
             obs.ingest_payload(payload)
             obs.gauge_max("serve.peak_worker_rss_mb", worker_rss)

@@ -2,8 +2,8 @@
 
 :func:`now` is the only place the package reads ``time.perf_counter``
 directly (lint rule RPL006 enforces this outside :mod:`repro.obs`).
-Everything that measures wall-clock time — :class:`Timer`, the bench
-harness, and the :mod:`repro.obs` span tracer — goes through it, so
+Everything that measures wall-clock time — :class:`Timer`, ``perfbench/``,
+and the :mod:`repro.obs` span tracer — goes through it, so
 timestamps from different layers land on one comparable monotonic
 timeline.  On Linux ``perf_counter`` is ``CLOCK_MONOTONIC``, which is
 system-wide, so readings taken in different processes of one grid run

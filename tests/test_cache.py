@@ -60,6 +60,18 @@ def _assert_same_instance(a, b) -> None:
     assert np.array_equal(a.task_levels(), b.task_levels())
 
 
+def _assert_byte_identical(a, b) -> None:
+    """Every exported array matches in dtype, shape and bytes."""
+    meta_a, arrays_a = a.export_arrays()
+    meta_b, arrays_b = b.export_arrays()
+    assert meta_a == meta_b
+    assert set(arrays_a) == set(arrays_b)
+    for name, arr in arrays_a.items():
+        got = arrays_b[name]
+        assert (arr.dtype, arr.shape) == (got.dtype, got.shape), name
+        assert arr.tobytes() == got.tobytes(), name
+
+
 class TestKey:
     def test_deterministic(self):
         dirs = directions_for_mesh(3, 8)
@@ -101,6 +113,7 @@ class TestRoundTrip:
         loaded = build_cache.load_instance(key)
         assert loaded is not None
         _assert_same_instance(inst, loaded)
+        _assert_byte_identical(inst, loaded)
         assert build_cache.COUNTERS["store"] == 1
         assert build_cache.COUNTERS["hit"] == 1
 

@@ -94,7 +94,7 @@ class TestThreeEngineChecksums:
     The equivalence suite compares start arrays elementwise; these
     properties pin the *derived* quantities every consumer actually
     reads — makespan, the echoed assignment, and the CRC-32 start
-    checksum the bench report commits — across the heap engine and both
+    checksum the frozen cases pin — across the heap engine and both
     promotion strategies of the batched kernel on hypothesis-random
     instances, assigned and unassigned mode alike.
     """

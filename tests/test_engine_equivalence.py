@@ -15,9 +15,9 @@ successor matrix and CSR gather) via the ``_FORCE_PROMOTION`` test hook,
 so neither the width rule behind ``auto`` nor the one behind
 :func:`~repro.core.fast_scheduler.padded_promotion` can hide a broken
 path.  Start arrays are compared both
-elementwise and by CRC-32 checksum — the same digest the bench report
-commits — so a checksum scheme that ever diverged from the arrays would
-be caught here first.
+elementwise and by CRC-32 checksum — the same digest the frozen case
+checksums in ``tests/test_goldens.py`` pin — so a checksum scheme that
+ever diverged from the arrays would be caught here first.
 
 The priority-property tests at the bottom cover the tie-break contract
 itself: ``priority=None`` is the all-zeros priority, schedules depend
@@ -60,7 +60,7 @@ def force_promotion(promotion):
 
 
 def start_checksum(schedule):
-    """The bench report's schedule digest: CRC-32 of the start array."""
+    """The frozen-case schedule digest: CRC-32 of the start array."""
     start = np.ascontiguousarray(schedule.start, dtype=np.int64)
     return zlib.crc32(start.tobytes())
 

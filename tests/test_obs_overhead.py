@@ -8,9 +8,6 @@ per-call cost of the disabled primitives (``span``/``inc``/``gauge_max``
 with tracing off), multiply by a generous over-count of the
 instrumentation sites one ``mesh_large`` engine run executes, and
 require the product to stay under 2% of the measured engine wall time.
-Marked ``bench_smoke`` alongside the other timing-sensitive smokes:
-
-    python -m pytest -q -m bench_smoke
 """
 
 from __future__ import annotations
@@ -21,11 +18,10 @@ from repro import obs
 from repro.core.assignment import random_cell_assignment
 from repro.core.list_scheduler import list_schedule
 from repro.core.random_delay import delayed_task_layers, draw_delays
-from repro.experiments.bench import bench_cases
+from repro.mesh.generators import make_mesh
+from repro.sweeps import build_instance, directions_for_mesh
 from repro.util.rng import as_rng
 from repro.util.timing import Timer
-
-pytestmark = pytest.mark.bench_smoke
 
 #: Generous over-count of obs primitive calls per engine run.  One run
 #: executes a handful (1-2 spans, <=4 counters, <=1 gauge); 64 leaves
@@ -38,12 +34,10 @@ _MAX_OVERHEAD_FRACTION = 0.02
 
 @pytest.fixture(scope="module")
 def mesh_large():
-    """The smoke-sized mesh_large bench case, set up like run_bench."""
-    case = next(
-        c for c in bench_cases(smoke=True) if c["family"] == "mesh_large"
-    )
-    inst, _phases = case["build"]()
-    m = case["m"]
+    """The paper's S4 setting at smoke size: tetonly, 120 cells, k=24, m=64."""
+    mesh = make_mesh("tetonly", target_cells=120, seed=0)
+    inst = build_instance(mesh, directions_for_mesh(3, 24))
+    m = 64
     rng = as_rng(0)
     delays = draw_delays(inst.k, rng)
     assignment = random_cell_assignment(inst.n_cells, m, rng)

@@ -14,20 +14,30 @@ Three layers, mirroring the subsystem's planes:
 * **Drain** — SIGTERM on a daemon with resident instances must exit 0
   and leave zero orphan shm segments (the subprocess-kill pattern of
   ``tests/test_campaign_resume.py``), with the socket file removed.
+* **Dead worker** — a SIGKILLed pool worker breaks the daemon's
+  ``ProcessPoolExecutor``; the batcher fails only the chunks that were
+  in flight (``internal``), replaces the pool once, and later requests
+  are answered bit-identical to ``run_cell``.
 """
 
+import asyncio
 import os
 import signal
 import socket as socket_mod
 import subprocess
 import sys
+import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.parallel import list_orphan_segments
 from repro.serve import protocol
 from repro.serve.admission import AdmissionController
+from repro.serve.batcher import BatchRequest, Batcher
 from repro.serve.client import ServeClient, parse_address
 from repro.serve.instances import InstanceRegistry, InstanceSpec
 from repro.util.errors import ServeError
@@ -430,3 +440,183 @@ class TestDaemonBattery:
                 sock_obj.connect(sock)
             finally:
                 sock_obj.close()
+
+
+# ---------------------------------------------------------------------------
+# Dead worker: the batcher replaces a broken pool
+# ---------------------------------------------------------------------------
+
+
+class _StubPool:
+    """A pool stand-in: answers chunks, or fails them like a broken pool.
+
+    ``broken="submit"`` raises ``BrokenProcessPool`` from ``submit`` (a
+    pool already known to be broken); ``broken="inflight"`` accepts the
+    chunk and then fails its future (a worker died mid-chunk).
+    """
+
+    def __init__(self, broken=None):
+        self.broken = broken
+        self.submitted = 0
+        self.shut_down = False
+
+    def submit(self, fn, manifest, cells, with_comm, engine):
+        if self.broken == "submit":
+            raise BrokenProcessPool("a child process terminated abruptly")
+        self.submitted += 1
+        future = Future()
+        if self.broken == "inflight":
+            future.set_exception(
+                BrokenProcessPool("a child process terminated abruptly")
+            )
+        else:
+            future.set_result(
+                ([(c.index, f"summary-{c.seed}") for c in cells], 1.0, None)
+            )
+        return future
+
+    def shutdown(self, wait=True):
+        self.shut_down = True
+
+
+def _stub_batcher(first_pool):
+    """A started batcher on ``first_pool``; later pools are healthy stubs."""
+    batcher = Batcher(workers=2, max_delay_s=0.0)
+    batcher._pool = first_pool
+    batcher.replacements = []
+
+    def new_pool():
+        pool = _StubPool()
+        batcher.replacements.append(pool)
+        return pool
+
+    batcher._new_pool = new_pool
+    return batcher
+
+
+def _stub_request(seed, block_size=1):
+    lease = SimpleNamespace(
+        manifest=SimpleNamespace(segment="seg"), release=lambda: None
+    )
+    return BatchRequest(
+        algorithm="fifo", m=4, block_size=block_size, seed=seed,
+        with_comm=False, engine="auto", lease=lease,
+        future=asyncio.get_running_loop().create_future(),
+    )
+
+
+async def _settle(batcher, requests):
+    return await asyncio.gather(
+        *(batcher.submit(r) for r in requests), return_exceptions=True
+    )
+
+
+class TestBrokenPoolReplacement:
+    def test_inflight_chunks_fail_internal_and_pool_is_replaced_once(self):
+        broken = _StubPool(broken="inflight")
+
+        async def scenario():
+            batcher = _stub_batcher(broken)
+            # Two chunks (different block sizes never coalesce) in
+            # flight on the pool when it breaks.
+            failed = await _settle(
+                batcher, [_stub_request(0, 1), _stub_request(1, 2)]
+            )
+            later = await _settle(batcher, [_stub_request(2)])
+            return batcher, failed, later
+
+        batcher, failed, later = asyncio.run(scenario())
+        assert broken.submitted == 2
+        assert all(
+            isinstance(r, ServeError) and r.code == protocol.E_INTERNAL
+            for r in failed
+        )
+        assert "BrokenProcessPool" in str(failed[0])
+        assert len(batcher.replacements) == 1
+        assert broken.shut_down
+        assert batcher._pool is batcher.replacements[0]
+        assert later == ["summary-2"]
+
+    def test_pool_broken_at_submit_resubmits_on_the_fresh_pool(self):
+        broken = _StubPool(broken="submit")
+
+        async def scenario():
+            batcher = _stub_batcher(broken)
+            return batcher, await _settle(
+                batcher, [_stub_request(0), _stub_request(1, 2)]
+            )
+
+        batcher, results = asyncio.run(scenario())
+        # The chunks never ran on the broken pool, so none is lost.
+        assert results == ["summary-0", "summary-1"]
+        assert len(batcher.replacements) == 1
+        assert batcher.replacements[0].submitted == 2
+
+
+def _pool_workers(daemon_pid: int) -> list:
+    """PIDs of the daemon's spawn-pool workers (not its resource tracker)."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                ppid = int(fh.read().rsplit(")", 1)[1].split()[1])
+            with open(f"/proc/{entry}/cmdline", "rb") as fh:
+                cmdline = fh.read()
+        except (OSError, ValueError, IndexError):
+            continue
+        if ppid == daemon_pid and b"spawn_main" in cmdline:
+            pids.append(int(entry))
+    return pids
+
+
+@pytest.mark.grid_smoke
+@pytest.mark.skipif(
+    not os.path.isdir("/proc"), reason="finds pool workers through /proc"
+)
+def test_daemon_survives_a_killed_worker(tmp_path):
+    from repro.experiments.runner import run_cell
+
+    config = InstanceSpec.from_payload(INSTANCE).config()
+    seeds = range(4)
+    proc, sock = _spawn_daemon(tmp_path, "--workers", "2")
+    try:
+        with ServeClient.wait_ready(sock) as client:
+            client.publish(dict(INSTANCE))
+            workers = _pool_workers(proc.pid)
+            assert len(workers) == 2
+            victim = workers[0]
+            os.kill(victim, signal.SIGKILL)
+            # The daemon's pool reaps the dead worker once it has
+            # noticed the breakage.
+            deadline = time.monotonic() + 30
+            while os.path.exists(f"/proc/{victim}"):
+                assert time.monotonic() < deadline, "worker never reaped"
+                time.sleep(0.05)
+            sequential = [
+                client.schedule(dict(INSTANCE), "random_delay_priority",
+                                4, 1, seed)
+                for seed in seeds
+            ]
+            pipelined = client.schedule_many([
+                {
+                    "instance": dict(INSTANCE),
+                    "algorithm": "random_delay_priority",
+                    "m": 4,
+                    "block_size": 1,
+                    "seed": seed,
+                }
+                for seed in seeds
+            ])
+            assert client.status()["pid"] == proc.pid
+    finally:
+        returncode = _terminate(proc)
+    serial = [
+        run_cell(config, "random_delay_priority", 4, 1, seed)
+        for seed in seeds
+    ]
+    assert sequential == serial
+    assert pipelined == serial
+    assert returncode == 0
+    assert list_orphan_segments() == []
