@@ -6,8 +6,10 @@ direction set, tol)``, so its output can be cached across *processes* —
 every bench, grid, and campaign rerun on the same configuration is a
 warm start.  This module persists the
 :meth:`~repro.core.instance.SweepInstance.export_arrays` wire format
-(the same flat arrays the shared-memory plane publishes) under
-:data:`DIR_ENV`, keyed by a blake2b content hash.
+under :data:`DIR_ENV`, keyed by a blake2b content hash.  An entry's
+payload has the shared-memory segment's byte layout
+(:func:`repro.core.instance.layout_arrays`, one implementation for
+both), so a hit publishes without re-encoding.
 
 Design contract
 ---------------
@@ -44,6 +46,7 @@ contract above; inert unless armed, mirroring
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -105,7 +108,6 @@ DEFAULT_MAX_MB = 512.0
 ENTRY_SUFFIX = ".rpc"
 
 _MAGIC = b"REPROCACHE\n"
-_ALIGN = 64
 
 #: Per-process event counters (independent of the obs tracing switch).
 COUNTERS: dict[str, int] = {"hit": 0, "miss": 0, "store": 0, "evict": 0}
@@ -212,38 +214,26 @@ def store_arrays(
     """Persist one exported-instance payload under ``key`` (atomic).
 
     No-op (returns ``None``) when the cache is disabled.  The entry file
-    is ``magic | header_len | header JSON | 64-byte-aligned payload``;
-    the header records every array's dtype/shape/offset plus a blake2b
-    digest of the payload that :func:`load_arrays` re-verifies.
+    is ``magic | header_len | header JSON | payload``, where the payload
+    is the shared-memory segment's byte layout
+    (:func:`repro.core.instance.layout_arrays`); the header records every
+    array's dtype/shape/offset plus a blake2b digest of the payload that
+    :func:`load_arrays` re-verifies.
     """
     root = cache_dir()
     if root is None:
         return None
-    specs = []
-    offset = 0
-    chunks: list[bytes] = []
-    for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
-        specs.append(
-            {
-                "key": name,
-                "dtype": arr.dtype.str,
-                "shape": list(arr.shape),
-                "offset": offset,
-            }
-        )
-        data = arr.tobytes()
-        padded = (len(data) + _ALIGN - 1) // _ALIGN * _ALIGN
-        chunks.append(data)
-        chunks.append(b"\x00" * (padded - len(data)))
-        offset += padded
-    payload = b"".join(chunks)
+    from repro.core.instance import layout_arrays, write_arrays
+
+    specs, total = layout_arrays(arrays)
+    payload = bytearray(total)
+    write_arrays(specs, arrays, payload)
     header = json.dumps(
         {
             "cache_version": CACHE_VERSION,
             "key": key,
             "meta": meta,
-            "specs": specs,
+            "specs": [dataclasses.asdict(spec) for spec in specs],
             "payload_bytes": len(payload),
             "digest": hashlib.blake2b(payload, digest_size=32).hexdigest(),
         },
@@ -321,16 +311,10 @@ def load_arrays(key: str) -> tuple[dict, dict[str, np.ndarray]] | None:
         raise CacheError(
             f"{path.name}: stored key {header.get('key')!r} != {key!r}"
         )
-    arrays = {}
-    for spec in header["specs"]:
-        view = np.ndarray(
-            tuple(spec["shape"]),
-            dtype=np.dtype(spec["dtype"]),
-            buffer=payload,
-            offset=spec["offset"],
-        )
-        view.flags.writeable = False  # entry bytes are shared, never mutated
-        arrays[spec["key"]] = view
+    from repro.core.instance import ArraySpec, array_views
+
+    specs = [ArraySpec(**spec) for spec in header["specs"]]
+    arrays = array_views(specs, payload, writeable=False)
     try:
         os.utime(path)  # LRU recency touch
     except OSError:
@@ -349,12 +333,10 @@ def store_instance(key: str, inst: "SweepInstance") -> Path | None:
 def load_instance(key: str) -> "SweepInstance | None":
     """Rehydrate the instance stored under ``key`` (``None`` on miss).
 
-    Zero-copy over the entry payload, no validation or cache
-    recomputation — every memo cache materialised at store time (levels,
-    CSR, ``task_levels``) comes back adopted.  For publishing straight to
-    shared memory without building Python DAG objects at all, pair
-    :func:`load_arrays` with
-    :meth:`repro.parallel.SharedInstanceStore.publish_arrays` instead.
+    Zero-copy over the entry payload, with every memo cache
+    materialised at store time adopted.  To publish a hit to shared
+    memory without building ``Dag`` objects, pair :func:`load_arrays`
+    with :meth:`repro.parallel.SharedInstanceStore.publish_arrays`.
     """
     hit = load_arrays(key)
     if hit is None:

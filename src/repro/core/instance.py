@@ -12,12 +12,65 @@ integer ids ``tid = i * n + v`` so schedules are plain numpy arrays.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.core.dag import Dag
 from repro.util.errors import InvalidInstanceError
 
-__all__ = ["SweepInstance"]
+__all__ = ["SweepInstance", "ArraySpec", "layout_arrays", "array_views", "write_arrays"]
+
+#: Laid-out arrays start on multiples of this many bytes (cache-line and
+#: numpy-default alignment).
+_ALIGN = 64
+
+
+@dataclass(frozen=True)
+class ArraySpec:
+    """Location of one named array inside a laid-out buffer."""
+
+    key: str
+    dtype: str
+    shape: tuple
+    offset: int
+
+
+def layout_arrays(arrays: dict) -> tuple[tuple, int]:
+    """``(specs, total_bytes)``: arrays back to back in sorted key order.
+
+    The one byte layout of an :meth:`SweepInstance.export_arrays`
+    payload, shared by the shared-memory segment and the build cache.
+    """
+    specs = []
+    offset = 0
+    for key in sorted(arrays):
+        arr = np.ascontiguousarray(arrays[key])
+        specs.append(ArraySpec(key, arr.dtype.str, tuple(arr.shape), offset))
+        offset += (arr.nbytes + _ALIGN - 1) // _ALIGN * _ALIGN
+    return tuple(specs), offset
+
+
+def array_views(specs, buf, writeable: bool) -> dict:
+    """Name→ndarray zero-copy views of ``specs`` over ``buf``."""
+    out = {}
+    for spec in specs:
+        view = np.ndarray(tuple(spec.shape), dtype=np.dtype(spec.dtype),
+                          buffer=buf, offset=spec.offset)
+        view.flags.writeable = writeable
+        out[spec.key] = view
+    return out
+
+
+def write_arrays(specs, arrays: dict, buf) -> None:
+    """Copy ``arrays`` into the zero-filled ``buf`` at their ``specs``."""
+    views = array_views(specs, buf, writeable=True)
+    try:
+        for spec in specs:
+            np.copyto(views[spec.key], np.ascontiguousarray(arrays[spec.key]),
+                      casting="no")
+    finally:
+        views.clear()  # a failed publish must still be able to close its segment
 
 
 class SweepInstance:
@@ -133,26 +186,6 @@ class SweepInstance:
             for i, g in enumerate(self.dags):
                 out[i * n : (i + 1) * n] = g.level_of()
             self._task_level = out
-        return self._task_level
-
-    def warm_levels(self) -> np.ndarray:
-        """Materialise all per-direction levels in one batched sweep.
-
-        Runs :func:`repro.core.dag.batch_levels` over the block-diagonal
-        union of the direction DAGs — one frontier loop of ``max_i D_i``
-        iterations instead of ``k`` separate loops of ``D_i`` each — and
-        installs the (bit-identical) ``level_of`` / ``num_levels`` /
-        ``topological_order`` caches on every DAG plus the flat
-        :meth:`task_levels` array.  Idempotent; returns ``task_levels``.
-        The batched construction path
-        (:func:`repro.sweeps.dag_builder.build_instance`) calls
-        this at build time; call it directly on hand-built instances
-        (e.g. the synthetic families) to pre-pay the level structure.
-        """
-        if self._task_level is None:
-            from repro.core.dag import batch_levels
-
-            self._task_level = batch_levels(self.dags)
         return self._task_level
 
     def depth(self) -> int:

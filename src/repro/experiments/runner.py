@@ -28,6 +28,8 @@ from repro.sweeps.directions import directions_for_mesh
 from repro.util.rng import spawn_rngs
 
 __all__ = [
+    "content_key",
+    "build_and_store",
     "get_instance",
     "get_blocks",
     "run_cell",
@@ -57,29 +59,46 @@ def _mesh_cache(mesh: str, target_cells: int, mesh_seed: int):
     return make_mesh(mesh, target_cells=target_cells, seed=mesh_seed)
 
 
+def content_key(mesh: str, target_cells: int, mesh_seed: int, k: int) -> str:
+    """The build-cache key of one mesh-derived instance (no mesh needed).
+
+    The runner's memo and the serve registry both name instances by it.
+    """
+    from repro import cache as build_cache
+
+    dirs = directions_for_mesh(mesh_dim(mesh), k)
+    return build_cache.instance_key(
+        mesh, target_cells, mesh_seed, k, DEFAULT_TOL, dirs
+    )
+
+
+def build_and_store(
+    mesh: str, target_cells: int, mesh_seed: int, k: int, key: str | None
+):
+    """Build an instance without a cache lookup; store it under ``key``
+    (``None`` or a disabled cache stores nothing)."""
+    from repro import cache as build_cache
+
+    m = _mesh_cache(mesh, target_cells, mesh_seed)
+    inst = build_instance(m, directions_for_mesh(m.dim, k))
+    if key is not None:
+        build_cache.store_instance(key, inst)
+    return inst
+
+
 @lru_cache(maxsize=32)
 def _instance_cache(mesh: str, target_cells: int, mesh_seed: int, k: int):
     # Consult the content-addressed disk cache (repro.cache) before
-    # building: the key is derivable without constructing the mesh, so a
-    # warm process skips mesh generation entirely.  Disabled (pure
-    # build) unless $REPRO_CACHE_DIR is set.
+    # building.  Disabled (pure build) unless $REPRO_CACHE_DIR is set.
     from repro import cache as build_cache
 
     key = None
     if build_cache.cache_dir() is not None:
-        dirs = directions_for_mesh(mesh_dim(mesh), k)
-        key = build_cache.instance_key(
-            mesh, target_cells, mesh_seed, k, DEFAULT_TOL, dirs
-        )
+        key = content_key(mesh, target_cells, mesh_seed, k)
         inst = build_cache.load_instance(key)
         if inst is not None:
             return inst
-    m = _mesh_cache(mesh, target_cells, mesh_seed)
-    dirs = directions_for_mesh(m.dim, k)
-    inst = build_instance(m, dirs)
-    if key is not None:
-        build_cache.store_instance(key, inst)
-    return inst
+    return build_and_store(mesh, target_cells, mesh_seed, k, key)
 
 
 @lru_cache(maxsize=64)

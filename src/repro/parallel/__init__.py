@@ -5,13 +5,13 @@ hardware instead of multiplying work:
 
 * :class:`SharedInstanceStore` (:mod:`repro.parallel.shm_store`) — the
   parent serialises one sweep instance (edge/CSR arrays, materialised DAG
-  memo caches, partition labellings) into a single
-  ``multiprocessing.shared_memory`` segment; workers attach read-only
-  zero-copy numpy views, so W workers share one copy instead of
-  rebuilding and holding W.
+  memo caches) into a single ``multiprocessing.shared_memory`` segment;
+  workers attach read-only zero-copy numpy views, so W workers share one
+  copy instead of rebuilding and holding W.
 * the dispatcher (:mod:`repro.parallel.dispatcher`) — batches all seeds
   of a grid row into one task, groups tasks by block size, packs them
-  into cost-balanced chunks, and streams keyed ``(cell index, summary)``
+  into cost-balanced chunks that each carry their block labelling, and
+  streams keyed ``(cell index, summary)``
   results back while guaranteeing segment cleanup even when a worker
   crashes mid-grid.
 
@@ -32,7 +32,6 @@ from repro.parallel.dispatcher import (
 from repro.parallel.sanitize import sanitize_enabled
 from repro.parallel.shm_store import (
     SHM_PREFIX,
-    ArraySpec,
     SharedInstanceStore,
     StoreManifest,
     attach,
@@ -44,7 +43,6 @@ from repro.parallel.worker import warm_instance
 
 __all__ = [
     "SHM_PREFIX",
-    "ArraySpec",
     "CellBatch",
     "DispatchStats",
     "GridCell",

@@ -8,9 +8,9 @@ three-stage plan:
    one per output row (all seeds of one ``(algorithm, block size, m)``
    config), so a row's seeds never straddle workers and each batch is one
    IPC round trip.
-2. **Chunk** — batches are grouped by block size (locality: one partition
-   labelling per chunk) and packed into chunks sized by a cheap cost
-   model (``n_tasks`` work units per cell) so the pool sees
+2. **Chunk** — batches are grouped by block size (one partition
+   labelling per chunk, shipped with it) and packed into chunks sized by
+   a cheap cost model (``n_tasks`` work units per cell) so the pool sees
    ``~_CHUNKS_PER_WORKER`` chunks per worker: few enough to amortise
    dispatch overhead, many enough to load-balance.
 3. **Dispatch** — chunks run on a pool whose workers :func:`attach
@@ -28,6 +28,7 @@ bit-identical to the serial runner's no matter how cells land on workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 __all__ = [
     "GridCell",
@@ -114,36 +115,19 @@ def grid_cells(config) -> list:
 def plan_batches(config, cells: list | None = None) -> list:
     """Group cells into one :class:`CellBatch` per output row.
 
-    With ``cells=None`` the full grid of ``config`` is enumerated and
-    rows are the consecutive ``len(config.seeds)``-cell runs.  An
-    explicit ``cells`` list (the campaign plane's resume path, where
-    only *unfinished* cells are dispatched) is instead split on row
-    identity — maximal consecutive runs sharing
-    ``(algorithm, block size, m)`` — so partial rows batch correctly.
+    A row is a maximal consecutive run of cells sharing ``(algorithm,
+    block size, m)``: all seeds of the row in the full grid of
+    ``config``, or — given an explicit ``cells`` list (the campaign
+    plane's resume path, where only *unfinished* cells are dispatched)
+    — whatever part of the row is left, so partial rows batch correctly.
     """
     if cells is None:
         cells = grid_cells(config)
-        n_seeds = max(len(config.seeds), 1)
-        batches = []
-        for row, i in enumerate(range(0, len(cells), n_seeds)):
-            group = tuple(cells[i : i + n_seeds])
-            batches.append(CellBatch(row, group[0].block_size, group))
-        return batches
-    batches = []
-    group: list = []
-    for cell in cells:
-        identity = (cell.algorithm, cell.block_size, cell.m)
-        if group and identity != (
-            group[0].algorithm, group[0].block_size, group[0].m
-        ):
-            batches.append(CellBatch(len(batches), group[0].block_size,
-                                     tuple(group)))
-            group = []
-        group.append(cell)
-    if group:
-        batches.append(CellBatch(len(batches), group[0].block_size,
-                                 tuple(group)))
-    return batches
+    runs = groupby(cells, key=lambda c: (c.algorithm, c.block_size, c.m))
+    return [
+        CellBatch(row, identity[1], tuple(group))
+        for row, (identity, group) in enumerate(runs)
+    ]
 
 
 def plan_chunks(batches: list, workers: int, cell_cost: int) -> list:
@@ -257,22 +241,23 @@ def run_dispatch(
         stats.chunk_cells = [sum(len(b.cells) for b in c) for c in chunks]
 
         with obs.span("grid.publish", cat="parallel"), Timer() as t_pub:
-            store = SharedInstanceStore.publish(inst, blocks=blocks)
+            store = SharedInstanceStore.publish(inst)
         stats.publish_s = t_pub.elapsed
         obs.gauge_max("parallel.publish_s", t_pub.elapsed)
         with store:
             manifest = store.manifest
             # Spawn-context workers: a fresh interpreter per worker maps
-            # the shared segment and nothing else, so worker peak RSS is
-            # the attach cost instead of a copy-on-write snapshot of the
-            # parent's whole heap (fork inherited ~860 MB of parent pages
-            # into every worker's VmHWM on a 2,000-cell grid; spawn stays
-            # under the worker-RSS ceiling tests/test_parallel_rss.py pins).
+            # the shared segment (on its first chunk) and nothing else,
+            # so worker peak RSS is the attach cost instead of a
+            # copy-on-write snapshot of the parent's whole heap (fork
+            # inherited ~860 MB of parent pages into every worker's VmHWM
+            # on a 2,000-cell grid; spawn stays under the worker-RSS
+            # ceiling tests/test_parallel_rss.py pins).
             with Timer() as t_disp, ProcessPoolExecutor(
                 max_workers=workers,
                 mp_context=get_context("spawn"),
                 initializer=init_worker,
-                initargs=(manifest, obs.tracing_enabled()),
+                initargs=(obs.tracing_enabled(),),
             ) as pool:
                 pending = {
                     pool.submit(
@@ -281,6 +266,7 @@ def run_dispatch(
                         tuple(c for b in chunk for c in b.cells),
                         with_comm,
                         config.engine,
+                        blocks.get(chunk[0].block_size),
                     )
                     for chunk in chunks
                 }

@@ -1,26 +1,30 @@
 """Zero-copy shared-memory publication of sweep instances.
 
-The grid runner's old parallel path had every worker process rebuild the
-mesh, all ``k`` sweep DAGs, cycle breaking, and the block partitions from
-scratch — ``W`` workers paid the instance-build cost ``W`` times and held
-``W`` full copies in RAM.  This module replaces the rebuild with a
-publish/attach protocol:
+Instead of every worker process rebuilding (and holding) its own copy
+of an instance, the parent publishes it once and workers attach:
 
 * the parent flattens one :class:`~repro.core.instance.SweepInstance`
-  (plus any materialised memo caches and the per-block-size partition
-  labellings) into a **single** ``multiprocessing.shared_memory`` segment
-  via :meth:`SharedInstanceStore.publish`;
+  (plus any materialised memo caches) into a **single**
+  ``multiprocessing.shared_memory`` segment via
+  :meth:`SharedInstanceStore.publish`.  A segment holds exactly one
+  instance and never changes between publish and unlink; block
+  labellings are not part of it — each chunk of cells carries its own
+  (see :func:`repro.parallel.worker.run_chunk`);
 * workers :func:`attach` to the segment by name and get back a fully
   functional instance whose arrays are **read-only zero-copy views** of
   the shared pages — no deserialisation, no per-worker copy, RSS flat in
-  the worker count;
+  the worker count.  A worker keeps every attachment whose segment is
+  still live, so one that alternates between instances maps each once;
+  an attach miss closes only the attachments whose segment is gone;
 * the parent guarantees cleanup: context-manager exit, an ``atexit``
   backstop, and unlink-on-crash (the dispatcher unlinks in a ``finally``
   even when a worker raised mid-grid).
 
 The wire format is ``SweepInstance.export_arrays()``: a JSON-able meta
-dict plus named numpy arrays, laid out back to back (64-byte aligned) in
-the segment and described by an :class:`ArraySpec` table in the picklable
+dict plus named numpy arrays, laid out by
+:func:`repro.core.instance.layout_arrays` (the build cache's entry
+payload uses the same layout) and described by an
+:class:`~repro.core.instance.ArraySpec` table in the picklable
 :class:`StoreManifest` that travels to workers with each task.
 """
 
@@ -32,15 +36,17 @@ import secrets
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 
-import numpy as np
-
-from repro.core.instance import SweepInstance
+from repro.core.instance import (
+    SweepInstance,
+    array_views,
+    layout_arrays,
+    write_arrays,
+)
 from repro.parallel import sanitize
 from repro.util.errors import StoreError
 
 __all__ = [
     "SHM_PREFIX",
-    "ArraySpec",
     "StoreManifest",
     "SharedInstanceStore",
     "attach",
@@ -53,20 +59,6 @@ __all__ = [
 #: checks (tests, CI) can scan ``/dev/shm`` for survivors unambiguously.
 SHM_PREFIX = "reproshm_"
 
-#: Segment offsets are rounded up to this many bytes so every attached
-#: view is at least cache-line (and numpy default) aligned.
-_ALIGN = 64
-
-
-@dataclass(frozen=True)
-class ArraySpec:
-    """Location of one named array inside the shared segment."""
-
-    key: str
-    dtype: str
-    shape: tuple
-    offset: int
-
 
 @dataclass(frozen=True)
 class StoreManifest:
@@ -74,41 +66,16 @@ class StoreManifest:
 
     Picklable and small (no array data), so shipping it with every task
     is free.  ``meta`` is the instance's JSON-able metadata from
-    :meth:`repro.core.instance.SweepInstance.export_arrays`;
-    ``block_sizes`` lists the partition labellings published alongside
-    the instance (array keys ``blocks/<size>``).
+    :meth:`repro.core.instance.SweepInstance.export_arrays`.
     """
 
     segment: str
     meta: dict
     specs: tuple = field(default_factory=tuple)
-    block_sizes: tuple = field(default_factory=tuple)
     #: Content digest of the published segment, stamped only when the
     #: ``REPRO_SANITIZE=1`` sanitizer is active (else ``None``).  Workers
     #: and the owning store re-verify it to catch stray writes.
     digest: str | None = None
-
-
-def _layout(arrays: dict) -> tuple[tuple, int]:
-    """Compute (specs, total_bytes) for a name→array dict."""
-    specs = []
-    offset = 0
-    for key in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[key])
-        specs.append(ArraySpec(key, arr.dtype.str, tuple(arr.shape), offset))
-        offset += (arr.nbytes + _ALIGN - 1) // _ALIGN * _ALIGN
-    return tuple(specs), max(offset, 1)
-
-
-def _views(specs: tuple, buf, writeable: bool) -> dict:
-    """Build (optionally read-only) ndarray views over a segment buffer."""
-    out = {}
-    for spec in specs:
-        view = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype),
-                          buffer=buf, offset=spec.offset)
-        view.flags.writeable = writeable
-        out[spec.key] = view
-    return out
 
 
 def _untrack(shm: shared_memory.SharedMemory) -> None:
@@ -129,11 +96,11 @@ def _untrack(shm: shared_memory.SharedMemory) -> None:
 
 
 class SharedInstanceStore:
-    """One published instance (plus partitions) in shared memory.
+    """One published instance in shared memory, immutable until unlink.
 
     Use as a context manager in the parent::
 
-        with SharedInstanceStore.publish(inst, blocks={64: labels}) as store:
+        with SharedInstanceStore.publish(inst) as store:
             pool.submit(work, store.manifest, ...)
 
     Exit closes *and unlinks* the segment; an ``atexit`` hook covers
@@ -147,29 +114,25 @@ class SharedInstanceStore:
         self.manifest = manifest
         atexit.register(self._cleanup)
 
-    @classmethod
-    def publish(
-        cls,
-        inst: SweepInstance,
-        blocks: dict | None = None,
-    ) -> "SharedInstanceStore":
-        """Serialise ``inst`` (and cell→block labellings) into one segment.
+    @property
+    def nbytes(self) -> int:
+        """Size of the shared segment in bytes."""
+        return self._shm.size
 
-        ``blocks`` maps block size → ``(n_cells,)`` labelling array.  Memo
-        caches are included exactly as materialised on ``inst`` — warm
-        them first (see :func:`repro.parallel.warm_instance`) so workers
-        inherit the expensive precomputations instead of redoing them.
+    @classmethod
+    def publish(cls, inst: SweepInstance) -> "SharedInstanceStore":
+        """Serialise ``inst`` into one segment.
+
+        Memo caches are included exactly as materialised on ``inst`` —
+        warm them first (see :func:`repro.parallel.warm_instance`) so
+        workers inherit the expensive precomputations instead of redoing
+        them.
         """
         meta, arrays = inst.export_arrays()
-        return cls.publish_arrays(meta, arrays, blocks=blocks)
+        return cls.publish_arrays(meta, arrays)
 
     @classmethod
-    def publish_arrays(
-        cls,
-        meta: dict,
-        arrays: dict,
-        blocks: dict | None = None,
-    ) -> "SharedInstanceStore":
+    def publish_arrays(cls, meta: dict, arrays: dict) -> "SharedInstanceStore":
         """Publish an already-exported instance payload into one segment.
 
         ``(meta, arrays)`` is the
@@ -180,38 +143,24 @@ class SharedInstanceStore:
         in the parent.  :meth:`publish` is a thin wrapper that exports
         a live instance first.
         """
-        arrays = dict(arrays)
-        block_sizes = tuple(sorted(blocks)) if blocks else ()
-        if blocks:
-            for size in block_sizes:
-                arrays[f"blocks/{size}"] = np.asarray(
-                    blocks[size], dtype=np.int64
-                )
-        specs, total = _layout(arrays)
+        specs, total = layout_arrays(arrays)
         name = f"{SHM_PREFIX}{secrets.token_hex(8)}"
-        views: dict | None = None
-        shm = shared_memory.SharedMemory(name=name, create=True, size=total)
+        shm = shared_memory.SharedMemory(
+            name=name, create=True, size=max(total, 1)
+        )
         try:
-            views = _views(specs, shm.buf, writeable=True)
-            for spec in specs:
-                np.copyto(
-                    views[spec.key],
-                    np.ascontiguousarray(arrays[spec.key]),
-                    casting="no",
-                )
+            write_arrays(specs, arrays, shm.buf)
             digest = (
                 sanitize.segment_digest(shm.buf)
                 if sanitize.sanitize_enabled() else None
             )
             manifest = StoreManifest(
-                segment=shm.name, meta=meta, specs=specs,
-                block_sizes=block_sizes, digest=digest,
+                segment=shm.name, meta=meta, specs=specs, digest=digest,
             )
         except BaseException:
             # A dtype-cast failure (or KeyboardInterrupt) before the
             # handle reaches its owner would otherwise leak a named
             # segment until reboot.
-            views = None  # drop buffer views so close() can release the map
             shm.close()
             shm.unlink()
             raise
@@ -269,30 +218,35 @@ class SharedInstanceStore:
 # worker side
 # ----------------------------------------------------------------------
 
-#: Per-process attachment cache: segment name -> (shm, instance, blocks).
-#: A worker typically serves one grid at a time, so only the most recent
-#: attachment is kept; older segments are closed when evicted.
+#: Per-process attachment cache: segment name -> (shm, instance).  A
+#: segment never changes while it exists, so an attachment stays valid
+#: until the owner unlinks the segment; a worker that alternates
+#: between instances maps each one once.
 _ATTACHED: dict = {}
 
 
-def attach(
-    manifest: StoreManifest,
-) -> tuple[SweepInstance, dict[int, np.ndarray]]:
-    """Attach to a published store; returns ``(instance, blocks)``.
+def attach(manifest: StoreManifest) -> SweepInstance:
+    """Attach to a published store; returns its instance.
 
     Zero-copy: the instance's arrays are read-only views of the shared
     segment.  Attachments are memoised per process and per segment, so a
-    pool worker pays the (microsecond) mapping cost once no matter how
-    many task chunks it executes.
+    pool worker pays the mapping cost — and rebuilds the memo caches
+    the segment did not ship — once per instance, no matter how many
+    task chunks it executes or how often it switches instances.  On a
+    miss, attachments whose segment is gone from ``/dev/shm`` (its owner
+    unlinked it) are closed first; live ones are kept.
     """
     cached = _ATTACHED.get(manifest.segment)
     if cached is not None:
-        return cached[1], cached[2]
+        return cached[1]
+    live = set(list_orphan_segments())
+    for name in [name for name in _ATTACHED if name not in live]:
+        _close(_ATTACHED.pop(name))
     # Attach-only handle: ownership (and unlinking) stays with the
-    # publishing parent; detach_all() closes this mapping on eviction
-    # and at worker exit.
+    # publishing parent; this mapping is closed once the segment is
+    # gone, or by detach_all() at worker exit.
     try:
-        shm = shared_memory.SharedMemory(  # repro-lint: disable=RPL003 -- worker attach never owns the segment; the publishing SharedInstanceStore holds the close+unlink paths and detach_all() closes this handle
+        shm = shared_memory.SharedMemory(  # repro-lint: disable=RPL003 -- worker attach never owns the segment; the publishing SharedInstanceStore holds the close+unlink paths and _close() closes this handle
             name=manifest.segment
         )
     except FileNotFoundError as exc:
@@ -303,17 +257,13 @@ def attach(
             "re-publish the instance and retry with a fresh manifest"
         ) from exc
     _untrack(shm)
-    views = _views(manifest.specs, shm.buf, writeable=False)
+    views = array_views(manifest.specs, shm.buf, writeable=False)
     if manifest.digest is not None:
         sanitize.check_digest(shm.buf, manifest.digest, "attach")
         sanitize.poison_views(views, "attach")
-    blocks = {
-        size: views.pop(f"blocks/{size}") for size in manifest.block_sizes
-    }
     inst = SweepInstance.from_arrays(manifest.meta, views)
-    detach_all()  # evict any previous grid's segment
-    _ATTACHED[manifest.segment] = (shm, inst, blocks)
-    return inst, blocks
+    _ATTACHED[manifest.segment] = (shm, inst)
+    return inst
 
 
 def verify_attached(manifest: StoreManifest) -> None:
@@ -328,14 +278,17 @@ def verify_attached(manifest: StoreManifest) -> None:
         sanitize.check_digest(entry[0].buf, manifest.digest, "worker chunk")
 
 
+def _close(entry: tuple) -> None:
+    try:
+        entry[0].close()
+    except BufferError:  # live views still reference the buffer
+        pass
+
+
 def detach_all() -> None:
-    """Close every memoised attachment (worker exit / store eviction)."""
+    """Close every memoised attachment (worker exit)."""
     while _ATTACHED:
-        _, entry = _ATTACHED.popitem()
-        try:
-            entry[0].close()
-        except BufferError:  # live views still reference the buffer
-            pass
+        _close(_ATTACHED.popitem()[1])
 
 
 def list_orphan_segments() -> list[str]:

@@ -1,13 +1,20 @@
 """Worker-process side of the parallel grid plane.
 
-Top-level (picklable) functions the dispatcher runs inside pool workers,
-plus :func:`warm_instance` — the parent-side cache warm-up that decides
-which :class:`~repro.core.dag.Dag` memo caches get materialised before
-the instance is published to shared memory.  Workers attach zero-copy and
-inherit exactly those caches, so the expensive per-instance
-precomputations (union CSR, padded successor matrix, level structure,
-b-levels, descendant counts) happen once per grid instead of once per
-worker.
+Top-level (picklable) functions the dispatcher and the serve batcher run
+inside pool workers, plus :func:`warm_instance` — the parent-side cache
+warm-up that decides which :class:`~repro.core.dag.Dag` memo caches get
+materialised before the instance is published to shared memory.  Workers
+attach zero-copy and inherit exactly those caches, so the expensive
+per-instance precomputations (union CSR, padded successor matrix, level
+structure, b-levels, descendant counts) happen once per grid instead of
+once per worker.
+
+A worker attaches lazily: the first chunk against a segment maps it, and
+the attachment is kept for as long as the segment lives (see
+:func:`repro.parallel.shm_store.attach`).  A chunk's cells share one
+block size, and the chunk carries that size's cell→block labelling
+itself; the parent computes labellings (lint rule RPL101 keeps
+partitioning out of workers).
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ import atexit
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:  # annotation-only imports; runtime imports stay lazy
+    import numpy as np
+
     from repro.analysis.metrics import ScheduleSummary
     from repro.core.instance import SweepInstance
     from repro.parallel.dispatcher import GridCell
@@ -103,20 +112,14 @@ def _die_with_parent() -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-def init_worker(
-    manifest: "StoreManifest | None" = None, trace: bool = False
-) -> None:
+def init_worker(trace: bool = False) -> None:
     """Pool initializer for grid and serve workers.
 
     Ties the worker's lifetime to the driver's (:func:`_die_with_parent`)
     so a SIGKILL'd campaign, grid run or daemon never strands orphan
     workers, and registers an exit hook that drops the worker's
-    mappings when it dies.  Given a ``manifest`` (the one-shot grid
-    pool), the worker attaches to that store up front; attachment is
-    memoised per process, so this only front-loads the (tiny) mapping
-    cost.  Without one (the daemon's resident pool, which outlives many
-    instances) the worker attaches lazily per chunk inside
-    :func:`run_chunk`.
+    mappings when it dies.  Stores are attached by the first chunk that
+    needs them (:func:`run_chunk`).
 
     ``trace`` mirrors the parent's tracing switch explicitly (env
     inheritance is not enough when the parent enabled tracing
@@ -125,7 +128,7 @@ def init_worker(
     never re-ships spans it inherited from the parent's buffer.
     """
     from repro import obs
-    from repro.parallel.shm_store import attach, detach_all
+    from repro.parallel.shm_store import detach_all
 
     _die_with_parent()
     if trace:
@@ -134,8 +137,6 @@ def init_worker(
         obs.disable_tracing()
     obs.reset()
     atexit.register(detach_all)
-    if manifest is not None:
-        attach(manifest)
 
 
 def run_chunk(
@@ -143,8 +144,12 @@ def run_chunk(
     cells: Sequence["GridCell"],
     with_comm: bool,
     engine: str,
+    blocks: "np.ndarray | None" = None,
 ) -> tuple[list[tuple[int, "ScheduleSummary"]], float, dict | None]:
     """Execute one chunk of grid cells against the shared instance.
+
+    Every cell of the chunk has the same block size; ``blocks`` is that
+    size's cell→block labelling (``None`` for block size 1).
 
     Returns ``(pairs, peak_rss_mb, obs_payload)`` where ``pairs`` is a
     list of ``(cell index, ScheduleSummary)`` — keyed results, so the
@@ -167,13 +172,18 @@ def run_chunk(
     from repro.util.timing import Timer
 
     try:
+        if len({cell.block_size for cell in cells}) > 1:
+            raise ValueError(
+                "a chunk's cells must share one block size: one labelling "
+                "travels with the chunk"
+            )
         with obs.span(
             "worker.chunk",
             cat="parallel",
             args_fn=lambda: {"cells": len(cells)},
         ):
             with obs.span("worker.attach", cat="parallel"), Timer() as t_at:
-                inst, blocks = attach(manifest)
+                inst = attach(manifest)
             obs.gauge_max("parallel.attach_s", t_at.elapsed)
             pairs = []
             for cell in cells:
@@ -194,9 +204,7 @@ def run_chunk(
                         cell.seed,
                         with_comm=with_comm,
                         engine=engine,
-                        blocks=blocks.get(cell.block_size)
-                        if cell.block_size > 1
-                        else None,
+                        blocks=blocks,
                     )
                 pairs.append((cell.index, summary))
             # Under REPRO_SANITIZE=1 pin any stray segment write to the

@@ -5,11 +5,13 @@ arriving within a small window (``max_delay_s``) that are *compatible*
 — same published segment, engine, block size, and comm setting — are
 coalesced into one grid chunk and dispatched as a single IPC round trip
 to a **resident** spawn-context pool (created once at daemon start, so
-a warm request never pays interpreter/import/attach startup).  Workers
-run the exact chunk entry point of the one-shot dispatcher
+a warm request never pays interpreter/import startup).  Workers run the
+exact chunk entry point of the one-shot dispatcher
 (:func:`repro.parallel.worker.run_chunk`), so results are bit-identical
 to ``run_grid`` by construction: every cell's randomness is a function
-of its seed alone.
+of its seed alone.  A chunk has one block size, and its labelling (from
+the registry entry's memo) travels with the chunk; a worker attaches to
+each instance's segment once and keeps it while the segment lives.
 
 Batches respect per-request deadlines twice: an already-expired request
 is dropped from the chunk at dispatch (its slot answered with
@@ -22,6 +24,8 @@ from __future__ import annotations
 import asyncio
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro import obs
 from repro.serve import protocol
@@ -62,6 +66,8 @@ class BatchRequest:
     #: Absolute monotonic deadline (``repro.util.timing.now`` timeline),
     #: or ``None`` for no deadline.
     deadline: float | None = None
+    #: Cell→block labelling of ``block_size`` (``None`` for size 1).
+    blocks: np.ndarray | None = None
 
     def expired(self, at: float) -> bool:
         return self.deadline is not None and at >= self.deadline
@@ -105,10 +111,9 @@ class Batcher:
     def _new_pool(self):
         """A spawn pool of lazily-attaching workers.
 
-        Unlike the one-shot grid pool (whose workers pre-attach one
-        manifest), a serve worker outlives many instances: it attaches
-        per chunk inside :func:`repro.parallel.worker.run_chunk`
-        (memoised per segment, evicting the previous one).
+        A serve worker outlives many instances: it attaches inside
+        :func:`repro.parallel.worker.run_chunk`, memoised per segment
+        for as long as the segment lives.
         """
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
@@ -119,7 +124,7 @@ class Batcher:
             max_workers=self.workers,
             mp_context=get_context("spawn"),
             initializer=init_worker,
-            initargs=(None, obs.tracing_enabled()),
+            initargs=(obs.tracing_enabled(),),
         )
 
     def start(self) -> None:
@@ -261,6 +266,7 @@ class Batcher:
                     cells,
                     first.with_comm,
                     first.engine,
+                    first.blocks,
                 )
             obs.ingest_payload(payload)
             obs.gauge_max("serve.peak_worker_rss_mb", worker_rss)

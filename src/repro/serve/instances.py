@@ -5,20 +5,25 @@ shared memory **once** and then serves thousands of schedule requests.
 This module owns that residency:
 
 * **Identity** — an instance is named by its content key
-  (:func:`repro.cache.instance_key`), the same blake2b digest the
-  on-disk build cache uses, so "resident in the daemon" and "cached on
-  disk" are one identity.
-* **Hydration** — a publish first consults :func:`repro.cache.load_arrays`;
-  on a hit the wire-format arrays go straight into
+  (:func:`repro.experiments.runner.content_key`), the same blake2b
+  digest the on-disk build cache uses, so "resident in the daemon" and
+  "cached on disk" are one identity.
+* **Hydration** — a publish looks the disk cache up once
+  (:func:`repro.cache.load_arrays`); on a hit the wire-format arrays go
+  straight into
   :meth:`~repro.parallel.shm_store.SharedInstanceStore.publish_arrays`
   without rehydrating per-direction ``Dag`` objects.  Only a cold miss
   pays mesh + DAG construction (which then also seeds the disk cache).
+* **One segment per entry** — an entry's segment holds the instance
+  alone and never changes until the entry is evicted or drained.  Block
+  labellings are not published: an entry memoises the labellings it
+  has computed, and the batcher ships the one a chunk needs with the
+  chunk.  A request for a new block size computes its labelling on the
+  registry thread and publishes nothing.
 * **Pinned LRU eviction** — residency is byte-accounted against a
   budget; eviction walks least-recently-used entries but **never evicts
-  an instance with in-flight requests** (``pins > 0``).  A request pins
-  the concrete shared segment it dispatches against (a
-  :class:`Lease`), so even a block-size republish that swaps the
-  entry's segment keeps the old one alive until its last lease drains.
+  an instance with in-flight requests** (``pins > 0``; each in-flight
+  batch holds a :class:`Lease` on its entry).
 
 Gauges ``serve.instances.{hits,misses,evictions,resident_bytes}`` mirror
 the registry counters onto the obs metrics plane.
@@ -28,9 +33,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.util.errors import ServeError
+
+if TYPE_CHECKING:
+    from repro.parallel.shm_store import SharedInstanceStore
 
 __all__ = ["InstanceSpec", "ResidentInstance", "Lease", "InstanceRegistry"]
 
@@ -60,18 +69,13 @@ class InstanceSpec:
 
     def content_key(self) -> str:
         """The blake2b identity shared with :mod:`repro.cache`."""
-        from repro import cache as build_cache
-        from repro.mesh.generators import mesh_dim
-        from repro.sweeps.dag_builder import DEFAULT_TOL
-        from repro.sweeps.directions import directions_for_mesh
+        from repro.experiments.runner import content_key
 
-        dirs = directions_for_mesh(mesh_dim(self.mesh), self.k)
-        return build_cache.instance_key(
-            self.mesh, self.target_cells, self.mesh_seed, self.k,
-            DEFAULT_TOL, dirs,
+        return content_key(
+            self.mesh, self.target_cells, self.mesh_seed, self.k
         )
 
-    def config(self, block_sizes: tuple = (1,), engine: str = "auto"):
+    def config(self):
         """An :class:`~repro.experiments.configs.ExperimentConfig` view."""
         from repro.experiments.configs import ExperimentConfig
 
@@ -80,66 +84,46 @@ class InstanceSpec:
             target_cells=self.target_cells,
             mesh_seed=self.mesh_seed,
             k=self.k,
-            block_sizes=tuple(block_sizes) or (1,),
-            engine=engine,
             name="serve",
         )
 
 
-class _StoreHandle:
-    """One published segment plus its in-flight lease count."""
-
-    def __init__(self, store) -> None:
-        self.store = store
-        self.nbytes: int = store._shm.size
-        self.pins: int = 0
-        self.retired: bool = False
-
-    @property
-    def manifest(self):
-        return self.store.manifest
-
-
 @dataclass
 class ResidentInstance:
-    """One registry entry: identity, current segment, accounting."""
+    """One registry entry: identity, its segment, labellings, accounting."""
 
     key: str
     spec: InstanceSpec
-    handle: _StoreHandle
-    block_sizes: tuple = ()
+    store: SharedInstanceStore
+    #: Block size -> cell->block labelling, for every size computed so far.
+    blocks: dict = field(default_factory=dict)
     #: LRU clock tick of the last touch (monotonic per registry).
     seq: int = 0
-    #: Sum of in-flight leases across current + retired segments.
+    #: In-flight leases.
     pins: int = 0
-    #: Segments swapped out by a block-size republish but still leased.
-    retired: list = field(default_factory=list)
-
-    @property
-    def manifest(self):
-        return self.handle.manifest
 
     @property
     def nbytes(self) -> int:
-        return self.handle.nbytes + sum(h.nbytes for h in self.retired)
+        return self.store.nbytes
+
+    @property
+    def block_sizes(self) -> tuple:
+        return tuple(sorted(self.blocks))
 
 
 @dataclass
 class Lease:
-    """A pin on one concrete segment for one in-flight request batch.
+    """A pin on one entry for one in-flight request batch.
 
-    Holds the manifest the batch dispatched against; releasing the last
-    lease of a retired segment closes it, and an entry with any live
-    lease is immune to LRU eviction.
+    An entry with any live lease is immune to LRU eviction.
     """
 
     entry: ResidentInstance
-    handle: _StoreHandle
     _registry: "InstanceRegistry"
 
     @property
     def manifest(self):
-        return self.handle.manifest
+        return self.entry.store.manifest
 
     def release(self) -> None:
         self._registry._release(self)
@@ -171,13 +155,6 @@ class InstanceRegistry:
     def _resident_bytes_locked(self) -> int:
         return sum(e.nbytes for e in self._entries.values())
 
-    def evictable_bytes(self) -> int:
-        """Bytes reclaimable right now (entries with zero leases)."""
-        with self._lock:
-            return sum(
-                e.nbytes for e in self._entries.values() if e.pins == 0
-            )
-
     def snapshot(self) -> dict:
         """Status view: per-entry occupancy plus the counters."""
         with self._lock:
@@ -204,27 +181,16 @@ class InstanceRegistry:
     # -- lease lifecycle -----------------------------------------------
 
     def pin(self, entry: ResidentInstance) -> Lease:
-        """Pin the entry's current segment for one in-flight batch."""
+        """Pin ``entry`` for one in-flight batch."""
         with self._lock:
-            handle = entry.handle
-            handle.pins += 1
             entry.pins += 1
             self._clock += 1
             entry.seq = self._clock
-            return Lease(entry, handle, self)
+            return Lease(entry, self)
 
     def _release(self, lease: Lease) -> None:
-        close_store = None
         with self._lock:
-            lease.handle.pins -= 1
             lease.entry.pins -= 1
-            if lease.handle.retired and lease.handle.pins == 0:
-                if lease.handle in lease.entry.retired:
-                    lease.entry.retired.remove(lease.handle)
-                close_store = lease.handle.store
-            self._gauge_locked()
-        if close_store is not None:
-            close_store.close()
 
     # -- publish / lookup ----------------------------------------------
 
@@ -235,42 +201,37 @@ class InstanceRegistry:
         algorithms: tuple = (),
         engine: str = "auto",
     ) -> ResidentInstance:
-        """Resident entry for ``spec`` covering ``block_sizes``.
+        """Resident entry for ``spec`` holding the labellings of ``block_sizes``.
 
-        Registry hit: LRU-touch and return.  Hit missing a block
-        labelling: republish the same instance arrays with the superset
-        of labellings (segment swap; old segment lives until its leases
-        drain).  Miss: hydrate from the disk cache or build, publish,
-        then evict LRU unpinned entries down to the byte budget.
+        Registry hit: LRU-touch.  Miss: hydrate from the disk cache or
+        build, publish, then evict LRU unpinned entries down to the
+        byte budget.  Either way, labellings the entry does not hold yet
+        are computed and memoised on it; nothing is republished.
         """
         key = spec.content_key()
-        needed = tuple(sorted({s for s in block_sizes if s > 1}))
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None and set(needed) <= set(entry.block_sizes):
+            if entry is not None:
                 self.counters["hits"] += 1
                 obs.inc("serve.instances.hits")
                 self._clock += 1
                 entry.seq = self._clock
-                return entry
+        if entry is None:
+            entry = self._publish_new(spec, key, algorithms, engine)
+        from repro.experiments.runner import get_blocks
 
-        if entry is not None:
-            return self._extend_blocks(entry, needed, engine)
-        return self._publish_new(spec, key, needed, algorithms, engine)
+        for size in sorted({s for s in block_sizes if s > 1} - set(entry.blocks)):
+            labelling = get_blocks(spec.config(), size)
+            with self._lock:
+                entry.blocks[size] = labelling
+        return entry
 
-    def _publish_new(
-        self, spec, key, block_sizes, algorithms, engine
-    ) -> ResidentInstance:
+    def _publish_new(self, spec, key, algorithms, engine) -> ResidentInstance:
         from repro.parallel.shm_store import SharedInstanceStore
 
-        meta, arrays = _load_or_build_arrays(spec, algorithms, engine)
-        blocks = _build_blocks(spec, block_sizes)
-        store = SharedInstanceStore.publish_arrays(meta, arrays, blocks=blocks)
-        entry = ResidentInstance(
-            key=key, spec=spec, handle=_StoreHandle(store),
-            block_sizes=block_sizes,
-        )
-        evicted: list = []
+        meta, arrays = _load_or_build_arrays(spec, key, algorithms, engine)
+        store = SharedInstanceStore.publish_arrays(meta, arrays)
+        entry = ResidentInstance(key=key, spec=spec, store=store)
         with self._lock:
             raced = self._entries.get(key)
             if raced is not None:
@@ -290,43 +251,6 @@ class InstanceRegistry:
             store_.close()
         return entry
 
-    def _extend_blocks(self, entry, needed, engine) -> ResidentInstance:
-        """Republish ``entry`` with the union of block labellings.
-
-        The instance arrays are copied segment-to-segment (no rebuild);
-        the old segment is retired and closed once its leases drain.
-        """
-        from repro.parallel.shm_store import SharedInstanceStore, _views
-
-        union = tuple(sorted(set(entry.block_sizes) | set(needed)))
-        blocks = _build_blocks(entry.spec, union)
-        old = entry.handle
-        manifest = old.manifest
-        views = _views(manifest.specs, old.store._shm.buf, writeable=False)
-        arrays = {
-            k: v for k, v in views.items() if not k.startswith("blocks/")
-        }
-        store = SharedInstanceStore.publish_arrays(
-            manifest.meta, arrays, blocks=blocks
-        )
-        close_old = None
-        with self._lock:
-            self.counters["hits"] += 1
-            obs.inc("serve.instances.hits")
-            entry.handle = _StoreHandle(store)
-            entry.block_sizes = union
-            self._clock += 1
-            entry.seq = self._clock
-            if old.pins == 0:
-                close_old = old.store
-            else:
-                old.retired = True
-                entry.retired.append(old)
-            self._gauge_locked()
-        if close_old is not None:
-            close_old.close()
-        return entry
-
     def _evict_to_budget_locked(self, keep=None) -> list:
         """Drop LRU zero-pin entries until under budget; returns stores.
 
@@ -339,13 +263,13 @@ class InstanceRegistry:
         while self._resident_bytes_locked() > self.max_bytes:
             candidates = [
                 e for e in self._entries.values()
-                if e.pins == 0 and not e.retired and e is not keep
+                if e.pins == 0 and e is not keep
             ]
             if not candidates:
                 break
             victim = min(candidates, key=lambda e: e.seq)
             del self._entries[victim.key]
-            evicted.append(victim.handle.store)
+            evicted.append(victim.store)
             self.counters["evictions"] += 1
             obs.inc("serve.instances.evictions")
         return evicted
@@ -382,45 +306,29 @@ class InstanceRegistry:
                     f"{entry.key[:12]} — drain must await in-flight "
                     "requests first",
                 )
-            entry.handle.store.close()
-            for handle in entry.retired:
-                handle.store.close()
+            entry.store.close()
 
 
 def _load_or_build_arrays(
-    spec: InstanceSpec, algorithms: tuple, engine: str
+    spec: InstanceSpec, key: str, algorithms: tuple, engine: str
 ) -> tuple:
     """The instance wire payload: disk-cache hit or full build.
 
-    On a hit the arrays are published as-is (no Dag rehydration).  On a
-    miss the build goes through the memoised runner chokepoint — which
-    also seeds the disk cache when enabled — and the live instance is
-    warmed for ``algorithms``/``engine`` so attached workers inherit the
-    expensive memo caches.
+    One cache lookup.  On a hit the arrays are published as-is (no Dag
+    rehydration, no warm-up).  On a miss the instance is built, stored
+    under ``key`` (when the cache is enabled) and warmed for
+    ``algorithms``/``engine`` so attached workers inherit the expensive
+    memo caches.
     """
     from repro import cache as build_cache
-
-    key = spec.content_key()
-    if build_cache.cache_dir() is not None:
-        cached = build_cache.load_arrays(key)
-        if cached is not None:
-            return cached
-    from repro.experiments import runner
+    from repro.experiments.runner import build_and_store
     from repro.parallel.worker import warm_instance
 
-    inst = runner.get_instance(spec.config(engine=engine))
+    cached = build_cache.load_arrays(key)
+    if cached is not None:
+        return cached
+    inst = build_and_store(
+        spec.mesh, spec.target_cells, spec.mesh_seed, spec.k, key
+    )
     warm_instance(inst, algorithms, engine=engine)
     return inst.export_arrays()
-
-
-def _build_blocks(spec: InstanceSpec, block_sizes: tuple) -> dict | None:
-    """Cell→block labellings for every requested size > 1."""
-    if not block_sizes:
-        return None
-    from repro.experiments import runner
-
-    config = spec.config(block_sizes=block_sizes)
-    return {
-        size: runner.get_blocks(config, size)
-        for size in block_sizes
-    }

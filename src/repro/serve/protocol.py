@@ -20,16 +20,21 @@ Response frame (one per request, matched by ``id``)::
 Request kinds
 -------------
 ``schedule``
-    One grid cell: ``instance`` (see below), ``algorithm``, ``m``,
-    ``block_size``, ``seed``, plus optional ``engine`` (one of
+    One grid cell: ``instance`` (see below), ``algorithm`` (a registered
+    name), ``m`` and ``block_size`` (both >= 1), ``seed`` (a
+    non-negative int), plus optional ``engine`` (one of
     :data:`repro.core.list_scheduler.ENGINES`, default ``"auto"``),
     ``with_comm`` (default true) and ``deadline_s`` — a
     per-request deadline in seconds; an expired request is answered
     with :data:`E_DEADLINE_EXCEEDED` instead of a stale result.
 ``publish``
     Pre-publish an instance into shared memory: ``instance`` plus
-    optional ``block_sizes`` (labellings to publish alongside) and
-    ``engine`` (selects which caches are warmed).
+    optional ``block_sizes`` (labellings the daemon computes and keeps
+    ready; they travel with each chunk, not in the segment),
+    ``algorithms`` (a list of registered names) and ``engine`` — the
+    two select which memo caches a cold build warms.  The result
+    carries the instance key, the segment's ``bytes`` and the
+    ``block_sizes`` whose labellings the daemon holds.
 ``status``
     Daemon liveness/occupancy snapshot (resident instances, pending
     requests, drain state).
@@ -218,7 +223,11 @@ _SCHEDULE_FIELDS = {
     "algorithm": str,
     "m": int,
     "block_size": int,
+    "seed": int,
 }
+
+#: Lower bounds of the integer schedule fields.
+_SCHEDULE_MINIMA = {"m": 1, "block_size": 1, "seed": 0}
 
 
 def _check_fields(obj: dict, fields: dict, where: str) -> None:
@@ -233,12 +242,28 @@ def _check_fields(obj: dict, fields: dict, where: str) -> None:
             )
 
 
+def _check_algorithms(names, where: str) -> None:
+    from repro.heuristics.registry import ALGORITHMS
+
+    if not isinstance(names, list) or not all(
+        isinstance(name, str) and name in ALGORITHMS for name in names
+    ):
+        raise ServeError(
+            E_BAD_REQUEST,
+            f"{where} must name registered algorithms "
+            f"({', '.join(ALGORITHMS)}), got {names!r}",
+        )
+
+
 def validate_request(payload: dict) -> dict:
     """Check version, kind, and kind-specific fields of one request.
 
     Returns the payload (for chaining) or raises :class:`ServeError`
     with the matching typed code — the server turns that directly into
-    the refusal frame.
+    the refusal frame.  Every value a worker would choke on (an
+    unregistered algorithm, ``m`` or ``block_size`` below 1, a seed that
+    is not a non-negative int) is refused here, so one malformed request
+    never reaches — and fails — a chunk shared with valid ones.
     """
     version = payload.get("v")
     if version != PROTOCOL_VERSION:
@@ -270,8 +295,12 @@ def validate_request(payload: dict) -> dict:
             )
     if kind == "schedule":
         _check_fields(payload, _SCHEDULE_FIELDS, "schedule request")
-        if "seed" not in payload:
-            raise ServeError(E_BAD_REQUEST, "schedule request is missing 'seed'")
+        _check_algorithms([payload["algorithm"]], "algorithm")
+        for name, low in _SCHEDULE_MINIMA.items():
+            if payload[name] < low:
+                raise ServeError(
+                    E_BAD_REQUEST, f"{name} must be >= {low}, got {payload[name]}"
+                )
         deadline = payload.get("deadline_s")
         if deadline is not None and (
             isinstance(deadline, bool)
@@ -290,4 +319,5 @@ def validate_request(payload: dict) -> dict:
                 E_BAD_REQUEST,
                 f"block_sizes must be a list of positive ints, got {sizes!r}",
             )
+        _check_algorithms(payload.get("algorithms", []), "algorithms")
     return payload

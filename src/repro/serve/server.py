@@ -320,6 +320,7 @@ class ServeServer:
                 lease=lease,
                 future=asyncio.get_running_loop().create_future(),
                 deadline=deadline,
+                blocks=entry.blocks.get(payload["block_size"]),
             )
             lease = None  # the batcher owns (and releases) it now
             summary = await self.batcher.submit(request)

@@ -146,6 +146,35 @@ def _rewrite_header(path: Path, mutate) -> None:
     )
 
 
+#: blake2b-256 of the entry file ``test_entry_bytes_are_pinned`` writes.
+#: The cache entry payload and the shared-memory segment share one byte
+#: layout; this pins that sharing it moved no byte of the entry format.
+PINNED_ENTRY_DIGEST = (
+    "2ee540bd7e18b33d1d84b809b99b29b83c162a2363f470bded5ee2b61075cafb"
+)
+
+
+class TestEntryFormat:
+    def test_entry_bytes_are_pinned(self, cache_root):
+        import hashlib
+
+        from repro.instances.families import identical_chains
+
+        # Hand-built (no mesh, so no scipy), with cache arrays on the
+        # per-direction DAGs and on the union DAG.
+        inst = identical_chains(12, 3)
+        inst.task_levels()
+        inst.union_dag().successor_csr()
+        path = build_cache.store_instance("0" * 32, inst)
+        data = path.read_bytes()
+        assert len(data) == 6260
+        assert (
+            hashlib.blake2b(data, digest_size=32).hexdigest()
+            == PINNED_ENTRY_DIGEST
+        )
+        assert build_cache.CACHE_VERSION == 1
+
+
 class TestVerification:
     def test_flipped_payload_byte_raises(self, cache_root):
         key, inst = _tet_instance()
@@ -317,9 +346,8 @@ class TestPublishFromCache:
         meta, arrays = hit
         store = SharedInstanceStore.publish_arrays(meta, arrays)
         try:
-            attached, blocks = attach(store.manifest)
+            attached = attach(store.manifest)
             _assert_same_instance(inst, attached)
-            assert blocks == {}
         finally:
             detach_all()
             store.close()

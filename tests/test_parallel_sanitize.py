@@ -70,7 +70,7 @@ class TestEnableFlag:
 class TestPoisonedViews:
     def test_write_through_attached_view_raises(self, inst, sanitized):
         with SharedInstanceStore.publish(inst) as store:
-            got, _ = attach(store.manifest)
+            got = attach(store.manifest)
             edges = got.dags[0].edges
             assert not edges.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -94,7 +94,7 @@ class TestPoisonedViews:
 class TestDigestVerification:
     def test_clean_round_trip(self, inst, sanitized):
         with SharedInstanceStore.publish(inst) as store:
-            got, _ = attach(store.manifest)
+            got = attach(store.manifest)
             assert got.n_cells == inst.n_cells
             verify_attached(store.manifest)  # worker-chunk check passes
             detach_all()
@@ -152,7 +152,7 @@ class TestDisabledIsFree:
     def test_attach_and_close_skip_checks(self, inst, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "0")
         with SharedInstanceStore.publish(inst) as store:
-            got, _ = attach(store.manifest)
+            got = attach(store.manifest)
             # Views are read-only regardless of the sanitizer (RPL003's
             # static guarantee) — the flag only adds digest checks.
             assert not got.dags[0].edges.flags.writeable

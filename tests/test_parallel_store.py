@@ -1,20 +1,24 @@
 """Tests for the shared-memory instance store (``repro.parallel.shm_store``).
 
 In-process coverage of the publish/attach wire format and lifecycle:
-round-trip fidelity (arrays, memo caches, partition labellings),
-read-only zero-copy views, idempotent unlink, and the orphan-segment
+round-trip fidelity (arrays, memo caches), labellings travelling with
+the chunk instead of the segment, read-only zero-copy views, the
+per-segment attachment cache, idempotent unlink, and the orphan-segment
 scan the leak checks build on.  Cross-process behaviour is covered by
 ``tests/test_parallel_grid.py`` through the real dispatcher.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.dag import Dag
 from repro.experiments.configs import ExperimentConfig
-from repro.experiments.runner import get_blocks, get_instance
+from repro.experiments.runner import get_blocks, get_instance, run_cell
 from repro.parallel import (
     SHM_PREFIX,
+    GridCell,
     SharedInstanceStore,
     attach,
     detach_all,
@@ -41,8 +45,10 @@ def _segment_exists(name: str) -> bool:
 class TestRoundTrip:
     def test_instance_arrays_survive(self, inst):
         with SharedInstanceStore.publish(inst) as store:
-            got, blocks = attach(store.manifest)
-            assert blocks == {}
+            got = attach(store.manifest)
+            assert not any(
+                spec.key.startswith("blocks") for spec in store.manifest.specs
+            )
             assert got.n_cells == inst.n_cells
             assert got.k == inst.k
             assert got.name == inst.name
@@ -50,19 +56,34 @@ class TestRoundTrip:
                 assert np.array_equal(a.edges, b.edges)
             detach_all()
 
-    def test_blocks_travel_with_instance(self, inst):
-        labels = get_blocks(TINY, 8)
-        with SharedInstanceStore.publish(inst, blocks={8: labels}) as store:
-            assert store.manifest.block_sizes == (8,)
-            _, blocks = attach(store.manifest)
-            assert set(blocks) == {8}
-            assert np.array_equal(blocks[8], labels)
+    def test_blocks_travel_with_chunk(self, inst):
+        """A chunk carries its labelling; results match the serial cell."""
+        from repro.parallel.worker import run_chunk
+
+        cells = [GridCell(i, "fifo", 4, 8, seed) for i, seed in enumerate((0, 1))]
+        with SharedInstanceStore.publish(inst) as store:
+            pairs, _, _ = run_chunk(
+                store.manifest, cells, True, "auto", get_blocks(TINY, 8)
+            )
+            with pytest.raises(ValueError, match="labelling"):
+                run_chunk(store.manifest, cells, True, "auto", None)
             detach_all()
+        assert [summary for _, summary in pairs] == [
+            run_cell(TINY, "fifo", 4, 8, seed) for seed in (0, 1)
+        ]
+
+    def test_chunk_refuses_mixed_block_sizes(self, inst):
+        from repro.parallel.worker import run_chunk
+
+        cells = [GridCell(0, "fifo", 4, 1, 0), GridCell(1, "fifo", 4, 8, 0)]
+        with SharedInstanceStore.publish(inst) as store:
+            with pytest.raises(ValueError, match="one block size"):
+                run_chunk(store.manifest, cells, True, "auto", None)
 
     def test_warmed_caches_are_adopted_not_recomputed(self, inst):
         warm_instance(inst, ("descendant", "dfds"))
         with SharedInstanceStore.publish(inst) as store:
-            got, _ = attach(store.manifest)
+            got = attach(store.manifest)
             union = got.union_dag()
             # Adopted caches are already materialised on the attached side …
             assert union._num_levels is not None
@@ -79,17 +100,49 @@ class TestRoundTrip:
 
     def test_attached_views_are_read_only(self, inst):
         with SharedInstanceStore.publish(inst) as store:
-            got, _ = attach(store.manifest)
+            got = attach(store.manifest)
             with pytest.raises(ValueError):
                 got.dags[0].edges[0, 0] = 7
             detach_all()
 
     def test_attach_is_memoised_per_segment(self, inst):
         with SharedInstanceStore.publish(inst) as store:
-            first, _ = attach(store.manifest)
-            second, _ = attach(store.manifest)
+            first = attach(store.manifest)
+            second = attach(store.manifest)
             assert first is second
             detach_all()
+
+
+class TestAttachCache:
+    def test_live_attachments_survive_instance_switches(self, inst):
+        """A, B, A maps A once; a miss drops only segments now unlinked."""
+        from repro.parallel import shm_store
+
+        detach_all()
+        other = get_instance(replace(TINY, k=2))
+        store_a = SharedInstanceStore.publish(inst)
+        store_b = SharedInstanceStore.publish(other)
+        try:
+            a1 = attach(store_a.manifest)
+            b = attach(store_b.manifest)
+            a2 = attach(store_a.manifest)
+            assert a1 is a2 and b is not a1
+            assert set(shm_store._ATTACHED) == {
+                store_a.manifest.segment, store_b.manifest.segment,
+            }
+            store_b.close()
+            with SharedInstanceStore.publish(other) as store_c:
+                attach(store_c.manifest)
+                assert set(shm_store._ATTACHED) == {
+                    store_a.manifest.segment, store_c.manifest.segment,
+                }
+                assert attach(store_a.manifest) is a1
+                detach_all()
+        finally:
+            detach_all()
+            store_a.close()
+            store_b.close()
+        assert list_orphan_segments() == []
 
 
 class TestLifecycle:

@@ -4,13 +4,16 @@ Three layers, mirroring the subsystem's planes:
 
 * **In-process** — protocol framing/validation, admission gate
   semantics, and the pin-aware LRU registry (eviction must *never*
-  touch an instance with in-flight leases).
+  touch an instance with in-flight leases; a new block size publishes
+  nothing; a cold publish looks the build cache up once).
 * **Daemon subprocess** — a real ``python -m repro serve`` process
   driven over its unix socket: 50 pipelined schedule requests must come
   back bit-identical to a serial ``run_grid`` over the same cells
   (checksum-locked per cell *and* after row aggregation), deadlines
   must expire into typed errors instead of stale results, and a
-  saturated admission queue must refuse with ``overloaded``.
+  saturated admission queue must refuse with ``overloaded``; a
+  malformed request among valid ones must be refused alone; and block
+  sizes nobody published must be answered like ``run_cell``.
 * **Drain** — SIGTERM on a daemon with resident instances must exit 0
   and leave zero orphan shm segments (the subprocess-kill pattern of
   ``tests/test_campaign_resume.py``), with the socket file removed.
@@ -114,6 +117,31 @@ class TestProtocol:
                 protocol.validate_request({**base, "engine": engine})
             assert err.value.code == protocol.E_BAD_REQUEST
             assert "engine" in str(err.value)
+
+    def test_validate_refuses_what_a_chunk_would_fail_on(self):
+        """Malformed values are ``bad_request`` at the front door, never
+        a worker exception that fails a whole coalesced chunk."""
+        schedule = {
+            "v": 1, "id": 1, "kind": "schedule", "instance": dict(INSTANCE),
+            "algorithm": "fifo", "m": 4, "block_size": 1, "seed": 0,
+        }
+        publish = {"v": 1, "id": 1, "kind": "publish",
+                   "instance": dict(INSTANCE)}
+        assert protocol.validate_request(dict(schedule))
+        assert protocol.validate_request({**publish, "algorithms": ["dfds"]})
+        for broken in (
+            {**schedule, "algorithm": "nope"},
+            {**schedule, "m": 0},
+            {**schedule, "block_size": 0},
+            {**schedule, "seed": -1},
+            {**schedule, "seed": "zero"},
+            {**publish, "algorithms": 5},
+            {**publish, "algorithms": "dfds"},
+            {**publish, "algorithms": ["dfds", "nope"]},
+        ):
+            with pytest.raises(ServeError) as err:
+                protocol.validate_request(broken)
+            assert err.value.code == protocol.E_BAD_REQUEST
 
     def test_error_payload_roundtrip(self):
         response = protocol.error_response(
@@ -223,26 +251,66 @@ class TestRegistry:
             registry.close_all()
         assert list_orphan_segments() == []
 
-    def test_block_extension_retires_leased_segment(self):
+    def test_new_block_size_keeps_the_leased_segment(self):
+        """A new block size computes a labelling and publishes nothing:
+        the leased entry keeps its one segment."""
+        from repro.experiments.runner import get_blocks
+
         registry = InstanceRegistry()
         try:
             entry = registry.get_or_publish(_spec(0), block_sizes=(2,))
             lease = registry.pin(entry)
-            old_segment = lease.manifest.segment
+            segment = lease.manifest.segment
+            segments = list_orphan_segments()
 
             extended = registry.get_or_publish(_spec(0), block_sizes=(4,))
             assert extended is entry
             assert entry.block_sizes == (2, 4)
-            assert entry.manifest.segment != old_segment
-            # The old segment is retired, not unlinked: the in-flight
-            # lease still reads from it.
-            assert any(
-                h.manifest.segment == old_segment for h in entry.retired
-            )
+            assert list_orphan_segments() == segments
+            second = registry.pin(entry)
+            assert second.manifest.segment == segment
+            second.release()
+            config = _spec(0).config()
+            for size in (2, 4):
+                assert (entry.blocks[size] == get_blocks(config, size)).all()
+            assert registry.counters == {
+                "hits": 1, "misses": 1, "evictions": 0,
+            }
             lease.release()
-            assert entry.retired == []
+            assert entry.pins == 0
         finally:
             registry.close_all()
+        assert list_orphan_segments() == []
+
+    def test_cold_publish_looks_the_cache_up_once(self, tmp_path, monkeypatch):
+        from repro import cache as build_cache
+        from repro.experiments.runner import clear_caches
+
+        monkeypatch.setenv(build_cache.DIR_ENV, str(tmp_path / "cache"))
+        clear_caches()
+        build_cache.reset_counters()
+        registry = InstanceRegistry()
+        try:
+            registry.get_or_publish(_spec(3), algorithms=("dfds",))
+            assert build_cache.COUNTERS == {
+                "hit": 0, "miss": 1, "store": 1, "evict": 0,
+            }
+        finally:
+            registry.close_all()
+        # A fresh registry (a restarted daemon) publishes the entry's
+        # arrays straight from the cache: one hit, nothing built.
+        clear_caches()
+        build_cache.reset_counters()
+        registry = InstanceRegistry()
+        try:
+            entry = registry.get_or_publish(_spec(3))
+            assert build_cache.COUNTERS == {
+                "hit": 1, "miss": 0, "store": 0, "evict": 0,
+            }
+            assert entry.nbytes > 0
+        finally:
+            registry.close_all()
+            build_cache.reset_counters()
         assert list_orphan_segments() == []
 
     def test_budget_shedding_predicate(self):
@@ -265,7 +333,7 @@ class TestRegistry:
         lease.release()
         # Entries were detached from the registry before the check; the
         # segment itself is only reclaimed here.
-        entry.handle.store.close()
+        entry.store.close()
         assert list_orphan_segments() == []
 
 
@@ -416,6 +484,66 @@ class TestDaemonBattery:
             assert _terminate(proc) == 0
         assert list_orphan_segments() == []
 
+    def test_malformed_request_fails_alone(self, tmp_path):
+        """A malformed request among pipelined valid ones is refused on
+        its own; the valid neighbours still get their results."""
+        from repro.experiments.runner import run_cell
+
+        config = InstanceSpec.from_payload(INSTANCE).config()
+        proc, sock = _spawn_daemon(tmp_path, "--workers", "1")
+        try:
+            with ServeClient.wait_ready(sock) as client:
+                client.publish(dict(INSTANCE))
+                bursts = []
+                for bad in ({"algorithm": "nope"}, {"m": 0}):
+                    requests = [
+                        {"instance": dict(INSTANCE), "algorithm": "fifo",
+                         "m": 4, "block_size": 1, "seed": seed}
+                        for seed in (0, 1, 2)
+                    ]
+                    requests[1].update(bad)
+                    bursts.append(
+                        client.schedule_many(requests, on_error="return")
+                    )
+        finally:
+            assert _terminate(proc) == 0
+        for results in bursts:
+            assert results[0] == run_cell(config, "fifo", 4, 1, 0)
+            assert results[2] == run_cell(config, "fifo", 4, 1, 2)
+            assert isinstance(results[1], ServeError)
+            assert results[1].code == protocol.E_BAD_REQUEST
+        assert list_orphan_segments() == []
+
+    def test_unpublished_block_sizes_answer_like_run_cell(self, tmp_path):
+        """Block sizes nobody published are served from the entry's one
+        segment, with answers equal to the serial runner's."""
+        from repro.experiments.runner import run_cell
+
+        tet = {"mesh": "tetonly", "target_cells": 150, "mesh_seed": 0, "k": 2}
+        cells = [(size, seed) for size in (4, 8) for seed in (0, 1)]
+        proc, sock = _spawn_daemon(tmp_path, "--workers", "2")
+        try:
+            with ServeClient.wait_ready(sock) as client:
+                published = client.publish(tet)
+                segments = list_orphan_segments()
+                served = client.schedule_many([
+                    {"instance": tet, "algorithm": "random_delay_priority",
+                     "m": 4, "block_size": size, "seed": seed}
+                    for size, seed in cells
+                ])
+                assert list_orphan_segments() == segments
+                (entry,) = client.status()["registry"]["instances"]
+                assert entry["block_sizes"] == [4, 8]
+                assert entry["bytes"] == published["bytes"]
+        finally:
+            assert _terminate(proc) == 0
+        config = InstanceSpec.from_payload(tet).config()
+        assert served == [
+            run_cell(config, "random_delay_priority", 4, size, seed)
+            for size, seed in cells
+        ]
+        assert list_orphan_segments() == []
+
     def test_sigterm_drain_leaves_zero_orphans(self, tmp_path):
         proc, sock = _spawn_daemon(tmp_path, "--workers", "2")
         try:
@@ -460,7 +588,7 @@ class _StubPool:
         self.submitted = 0
         self.shut_down = False
 
-    def submit(self, fn, manifest, cells, with_comm, engine):
+    def submit(self, fn, manifest, cells, with_comm, engine, blocks):
         if self.broken == "submit":
             raise BrokenProcessPool("a child process terminated abruptly")
         self.submitted += 1
